@@ -1488,9 +1488,21 @@ let e16 ~quick () =
     in
     let fleet_addr = Transport.Unix_sock fleet_sock in
     let fleet_config =
+      let shard = config 2 in
       { Fleet.default_config with
         Fleet.shards = 4;
-        shard = config 2;
+        (* failover retries ride on the shard's server config *)
+        shard =
+          { shard with
+            Transport.dispatcher =
+              { shard.Transport.dispatcher with
+                Dispatcher.server =
+                  { Tgd_serve.Server.default_config with
+                    retries = 6;
+                    backoff_base_s = 0.05
+                  }
+              }
+          };
         cache_bytes = Some (32 * 1024 * 1024);
         beat_s = 0.1;
         policy =
@@ -1499,9 +1511,7 @@ let e16 ~quick () =
             backoff_cap_s = 0.5;
             wedge_timeout_s = Some 5.0;
             tick_s = 0.05
-          };
-        retries = 6;
-        backoff_base_s = 0.05
+          }
       }
     in
     let with_fleet f =

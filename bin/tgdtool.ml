@@ -993,7 +993,7 @@ let serve_cmd =
     Arg.(
       value & opt int 4
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains executing requests in socket mode.")
+          ~doc:"Worker domains executing requests.")
   in
   let max_connections_arg =
     Arg.(
@@ -1012,9 +1012,9 @@ let serve_cmd =
     Arg.(
       value & opt (some int) None
       & info [ "cache-bytes" ] ~docv:"BYTES"
-          ~doc:"Ceiling on the shared warm caches (entailment memo + \
-                chase-result cache) with LRU eviction; unlimited by \
-                default.")
+          ~doc:"Ceiling on the shared warm caches (entailment memo, \
+                chase-result cache, analyze reports and termination \
+                certificates) with LRU eviction; unlimited by default.")
   in
   let max_line_bytes_arg =
     Arg.(
@@ -1079,26 +1079,23 @@ let serve_cmd =
           exit 2)
       | None, None -> None
     in
-    match addr with
-    | None ->
-      if shards > 1 then begin
+    let tconfig =
+      { Tgd_net.Transport.dispatcher =
+          { Tgd_net.Dispatcher.server = config;
+            workers;
+            admission = Tgd_net.Admission.default_config ~queue_limit
+          };
+        max_connections;
+        idle_timeout_s = idle_timeout;
+        drain_grace_s = drain_grace
+      }
+    in
+    if shards > 1 then
+      match addr with
+      | None ->
         Fmt.epr "tgdtool serve: --shards needs --socket or --tcp@.";
         exit 2
-      end;
-      exit (Tgd_serve.Server.serve ~config stdin stdout)
-    | Some addr ->
-      let tconfig =
-        { Tgd_net.Transport.dispatcher =
-            { Tgd_net.Dispatcher.server = config;
-              workers;
-              admission = Tgd_net.Admission.default_config ~queue_limit
-            };
-          max_connections;
-          idle_timeout_s = idle_timeout;
-          drain_grace_s = drain_grace
-        }
-      in
-      if shards > 1 then
+      | Some addr ->
         (* the parent is pure supervisor + router: warm caches and worker
            domains live in the forked shards, configured post-fork *)
         exit
@@ -1106,18 +1103,17 @@ let serve_cmd =
              { Tgd_net.Fleet.default_config with
                shards;
                shard = tconfig;
-               cache_bytes;
-               max_connections;
-               idle_timeout_s = idle_timeout;
-               drain_grace_s = drain_grace;
-               retries;
-               backoff_base_s = config.Tgd_serve.Server.backoff_base_s
+               cache_bytes
              }
              addr)
-      else begin
-        Tgd_net.Warm.configure ~cache_bytes;
-        exit (Tgd_net.Transport.serve tconfig addr)
-      end
+    else begin
+      Tgd_net.Warm.configure ~cache_bytes;
+      exit
+        (Tgd_net.Transport.run
+           (match addr with
+           | Some addr -> Tgd_net.Transport.start tconfig addr
+           | None -> Tgd_net.Transport.stdio tconfig stdin stdout))
+    end
   in
   Cmd.v
     (Cmd.info "serve" ~exits

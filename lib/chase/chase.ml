@@ -223,6 +223,7 @@ let cached ~kind ~naive ~budget ~memo ~has_on_fire sigma inst run =
 
 let cert_memo : bool Memo.t = Memo.create ~name:"termination-certs" ()
 let lattice_memo : bool Memo.t = Memo.create ~name:"termination-lattice" ()
+let certificate_memos = [ cert_memo; lattice_memo ]
 
 let certified_terminating sigma =
   let key = Memo.sigma_key sigma in

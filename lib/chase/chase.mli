@@ -90,6 +90,12 @@ val set_memo_limit : bytes:int option -> unit
 val memo_counters : unit -> Tgd_engine.Memo.counters
 (** Hit/miss/entry/byte/eviction counters of the result cache. *)
 
+val certificate_memos : bool Tgd_engine.Memo.t list
+(** The per-ontology termination-certificate caches behind promotion
+    (the WA/JA front and the full lattice), keyed by
+    {!Tgd_engine.Memo.sigma_key}.  Exposed so a server can put them under
+    its cache ceiling. *)
+
 type checkpoint = {
   chk_instance : Instance.t;  (** committed saturation prefix *)
   chk_rounds : int;           (** rounds completed across all slices *)

@@ -19,7 +19,8 @@
     per-connection queues granted round-robin, so a connection
     pipelining requests back-to-back cannot starve the others.  Pass the
     session's connection id to {!handle} to get a dedicated queue;
-    callers without one (stdio, tests) share a default queue.
+    callers without one (in-process embedders, tests) share a default
+    queue.
 
     A [stats] op reports served/shed counts, pool health, chunk counters
     (chunks submitted/stolen, items, barrier merge time), fair-queue

@@ -6,11 +6,11 @@
    takes down all clients at once.  The fleet splits the blast radius:
    a parent supervisor forks [shards] worker processes, each running the
    existing socket serve loop ({!Transport.serve}) on its own Unix
-   socket with its own domain pool and caches, and a front-end router
-   in the parent accepts client connections and proxies request lines to
-   shards by rendezvous hash of the ontology digest — the same rule set
-   always lands on the same shard, so per-shard warm caches keep their
-   hit rates.
+   socket with its own domain pool and caches.  The parent's front-end
+   router is the same {!Transport} listener and session loop with a
+   routing handler: it proxies request lines to shards by rendezvous hash
+   of the ontology digest — the same rule set always lands on the same
+   shard, so per-shard warm caches keep their hit rates.
 
    {b Supervision.}  Each shard holds the write end of a heartbeat pipe
    and beats every [beat_s]; the parent's monitor thread selects on the
@@ -25,10 +25,10 @@
 
    {b Failover.}  The decision services are stateless per request
    modulo caches, so when a shard dies mid-request the router retries
-   the line on the next-best live shard in rendezvous order — the same
-   retry-with-backoff ladder the PR-5 serve loop uses for injected
-   faults.  A client sees its ordinary response, just slower; only a
-   fleet with nothing left to try answers a typed [unavailable].
+   the line on the next-best live shard in rendezvous order, on the
+   shard config's retry ladder ([retries], [backoff_base_s]).  A client
+   sees its ordinary response, just slower; only a fleet with nothing
+   left to try answers a typed [unavailable].
 
    {b Degraded mode.}  Below quorum (default: majority) the fleet keeps
    answering instead of refusing service, but tightens load shedding:
@@ -37,13 +37,13 @@
    ["degraded": true], preserving the surviving shards' headroom for
    traffic that will finish quickly.
 
-   {b Forking.}  [Unix.fork] requires a single running domain, and the
-   child must not inherit parent descriptors: every fd the parent holds
-   (listener, client sessions, backend connections, heartbeat read ends)
-   is registered in one table, fd creation and forking serialize on one
-   mutex, and a fresh child closes the whole snapshot before serving.
-   Children leave via [Unix._exit], never [exit] — flushing the
-   parent's inherited stdout buffer from a child would duplicate
+   {b Forking.}  [Unix.fork] requires a single running domain, so the
+   router never spawns one.  A fresh child must not keep the parent's
+   descriptors (listener, client sessions, backend connections, other
+   shards' heartbeat read ends): before serving, it closes every
+   descriptor its [/proc/self/fd] lists except 0–2 and its own heartbeat
+   write end.  Children leave via [Unix._exit], never [exit] — flushing
+   the parent's inherited stdout buffer from a child would duplicate
    output. *)
 
 module Json = Tgd_serve.Json
@@ -60,11 +60,6 @@ type config = {
                                    default majority *)
   beat_s : float;               (* shard heartbeat period *)
   policy : Supervisor.policy;   (* respawn backoff, wedge window, tick *)
-  max_connections : int;        (* router front-end *)
-  idle_timeout_s : float option;
-  drain_grace_s : float;
-  retries : int;                (* failover attempts per request *)
-  backoff_base_s : float;
   shard_dir : string option;    (* where shard sockets live *)
 }
 
@@ -83,11 +78,6 @@ let default_config =
     quorum = None;
     beat_s = 0.25;
     policy = default_policy;
-    max_connections = 64;
-    idle_timeout_s = None;
-    drain_grace_s = 5.0;
-    retries = 4;
-    backoff_base_s = 0.05;
     shard_dir = None
   }
 
@@ -147,23 +137,13 @@ type shard_slot = {
 
 type t = {
   config : config;
-  addr : Transport.addr;
   quorum : int;
-  listener : Unix.file_descr;
   sup : Supervisor.t;
   shards : shard_slot array;
   draining : bool Atomic.t;
-  (* every parent-held fd, so a fresh child can close the lot; creation
-     and forking serialize on [fork_mu] so the child's snapshot is
-     consistent *)
-  fork_mu : Mutex.t;
-  fds : (Unix.file_descr, unit) Hashtbl.t;
-  mu : Mutex.t;
-  conns : (int, Unix.file_descr) Hashtbl.t;
   session_ends : Transport.session_counters;
-  mutable sessions : Thread.t list;
-  mutable next_conn : int;
-  mutable accept_thread : Thread.t option;
+  sessions : int Atomic.t;               (* live router sessions *)
+  mutable front : Transport.t option;    (* set once the router listens *)
   mutable monitor_thread : Thread.t option;
   respawns : int Atomic.t;
   chaos_kills : int Atomic.t;
@@ -173,11 +153,7 @@ type t = {
   unavailable : int Atomic.t;
 }
 
-let locked mu f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
-let unregister_fd t fd = locked t.fork_mu (fun () -> Hashtbl.remove t.fds fd)
+let close_fd fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
 let alive_count t =
   Array.fold_left (fun n sh -> if sh.pid > 0 then n + 1 else n) 0 t.shards
@@ -188,11 +164,27 @@ let chaos_kill_count t = Atomic.get t.chaos_kills
 
 (* ---- shard child ----------------------------------------------------- *)
 
+(* Close every inherited descriptor but stdio and [keep].  On Unix a
+   [Unix.file_descr] is the kernel's int; without [/proc], sweep the
+   first thousand. *)
+let close_inherited ~keep =
+  let fd_of_int : int -> Unix.file_descr = Obj.magic in
+  let open_fds =
+    try
+      Sys.readdir "/proc/self/fd" |> Array.to_list
+      |> List.filter_map int_of_string_opt
+    with Sys_error _ -> List.init 1024 Fun.id
+  in
+  List.iter
+    (fun n -> if n > 2 && fd_of_int n <> keep then close_fd (fd_of_int n))
+    open_fds
+
 (* The child process: beat the heartbeat pipe from a side thread, then
    run the ordinary socket serve loop until drained.  EPIPE on the beat
    means the parent is gone — an orphaned shard exits rather than
    serving a socket nobody routes to. *)
 let run_shard config sock hb_w =
+  close_inherited ~keep:hb_w;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Warm.configure ~cache_bytes:config.cache_bytes;
   let stop = Atomic.make false in
@@ -219,38 +211,27 @@ let run_shard config sock hb_w =
   Atomic.set stop true;
   Unix._exit code
 
-(* Fork shard [i].  Holds [fork_mu] across pipe creation and the fork so
-   no other thread can register or create descriptors mid-snapshot. *)
 let spawn_shard t i =
   let sh = t.shards.(i) in
-  locked t.fork_mu (fun () ->
-      let r, w = Unix.pipe () in
-      match Unix.fork () with
-      | 0 ->
-        (try Unix.close r with Unix.Unix_error (_, _, _) -> ());
-        Hashtbl.iter
-          (fun fd () ->
-            try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-          t.fds;
-        run_shard t.config sh.sock w
-      | pid ->
-        (try Unix.close w with Unix.Unix_error (_, _, _) -> ());
-        sh.pid <- pid;
-        sh.hb <- Some r;
-        sh.last_beat <- Unix.gettimeofday ();
-        Hashtbl.replace t.fds r ());
+  let r, w = Unix.pipe () in
+  (match Unix.fork () with
+  | 0 -> run_shard t.config sh.sock w
+  | pid ->
+    close_fd w;
+    sh.pid <- pid;
+    sh.hb <- Some r;
+    sh.last_beat <- Unix.gettimeofday ());
   ignore (Supervisor.note_spawned t.sup i);
   Supervisor.note_busy t.sup i ~now:(Unix.gettimeofday ())
+
+let release_beat sh =
+  Option.iter close_fd sh.hb;
+  sh.hb <- None
 
 (* A shard is gone (reaped by waitpid): release its heartbeat fd and let
    the supervisor schedule the respawn with backoff. *)
 let shard_down t sh ~now =
-  (match sh.hb with
-  | Some fd ->
-    unregister_fd t fd;
-    (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-    sh.hb <- None
-  | None -> ());
+  release_beat sh;
   sh.pid <- 0;
   Supervisor.note_death t.sup sh.idx ~now
 
@@ -300,20 +281,14 @@ let monitor t =
             | None -> ()
             | Some sh -> (
               match Unix.read fd buf 0 64 with
-              | 0 ->
-                unregister_fd t fd;
-                (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-                sh.hb <- None
+              | 0 -> release_beat sh
               | _ ->
                 let now = Unix.gettimeofday () in
                 sh.last_beat <- now;
                 Supervisor.note_busy t.sup sh.idx ~now
               | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _)
                 -> ()
-              | exception Unix.Unix_error (_, _, _) ->
-                unregister_fd t fd;
-                (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-                sh.hb <- None))
+              | exception Unix.Unix_error (_, _, _) -> release_beat sh))
           readable
       | exception Unix.Unix_error (EINTR, _, _) -> ()
       | exception Unix.Unix_error (EBADF, _, _) -> ());
@@ -349,12 +324,7 @@ let monitor t =
               Fmt.epr "fleet: shard %d wedged (no heartbeat), killing@." i;
               terminate_shard sh;
               Supervisor.note_wedged t.sup i ~now;
-              (match sh.hb with
-              | Some fd ->
-                unregister_fd t fd;
-                (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-                sh.hb <- None
-              | None -> ());
+              release_beat sh;
               sh.pid <- 0
             | Supervisor.Respawn i ->
               ignore (Atomic.fetch_and_add t.respawns 1);
@@ -372,13 +342,6 @@ let monitor t =
   loop ()
 
 (* ---- router ---------------------------------------------------------- *)
-
-let send_line oc line =
-  output_string oc line;
-  output_char oc '\n';
-  flush oc
-
-let send_json oc resp = send_line oc (Json.to_string resp)
 
 let error_response req code message extra =
   Json.Obj
@@ -410,8 +373,7 @@ let status_json t =
             ("failovers", Json.Int (Atomic.get t.failovers));
             ("degraded_shed", Json.Int (Atomic.get t.degraded_shed));
             ("unavailable", Json.Int (Atomic.get t.unavailable));
-            ( "sessions",
-              Json.Int (locked t.mu (fun () -> Hashtbl.length t.conns)) );
+            ("sessions", Json.Int (Atomic.get t.sessions));
             ("session_ends", Transport.session_counters_json t.session_ends)
           ] );
       ( "shard",
@@ -433,43 +395,41 @@ let status_json t =
    against the respawned process). *)
 type backends = (int, in_channel * out_channel * Unix.file_descr) Hashtbl.t
 
-let drop_backend t (backends : backends) i =
+let drop_backend (backends : backends) i =
   match Hashtbl.find_opt backends i with
   | None -> ()
   | Some (_, _, fd) ->
     Hashtbl.remove backends i;
-    unregister_fd t fd;
-    (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
+    close_fd fd
 
 let get_backend t (backends : backends) i =
   match Hashtbl.find_opt backends i with
   | Some (ic, oc, _) -> (ic, oc)
-  | None ->
-    let sh = t.shards.(i) in
-    locked t.fork_mu (fun () ->
-        let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-        match Unix.connect fd (ADDR_UNIX sh.sock) with
-        | () ->
-          Hashtbl.replace t.fds fd ();
-          let ic = Unix.in_channel_of_descr fd
-          and oc = Unix.out_channel_of_descr fd in
-          Hashtbl.replace backends i (ic, oc, fd);
-          (ic, oc)
-        | exception e ->
-          (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-          raise e)
+  | None -> (
+    let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+    match Unix.connect fd (ADDR_UNIX t.shards.(i).sock) with
+    | () ->
+      let ic = Unix.in_channel_of_descr fd
+      and oc = Unix.out_channel_of_descr fd in
+      Hashtbl.replace backends i (ic, oc, fd);
+      (ic, oc)
+    | exception e ->
+      close_fd fd;
+      raise e)
 
 let call_backend t backends i line =
   match
     let ic, oc = get_backend t backends i in
-    send_line oc line;
+    output_string oc line;
+    output_char oc '\n';
+    flush oc;
     input_line ic
   with
   | resp -> Some resp
   | exception
       ( End_of_file | Sys_error _ | Sys_blocked_io
       | Unix.Unix_error (_, _, _) ) ->
-    drop_backend t backends i;
+    drop_backend backends i;
     None
 
 (* Proxy one request line: rank the shards for the request's ontology
@@ -479,6 +439,18 @@ let call_backend t backends i line =
    everything is down) the ladder waits a backoff step for the
    supervisor to respawn something before conceding [unavailable]. *)
 let route t backends req line =
+  let server = t.config.shard.Transport.dispatcher.Dispatcher.server in
+  let retries = server.Server.retries in
+  let backoff k =
+    Unix.sleepf (server.Server.backoff_base_s *. (2. ** float_of_int k))
+  in
+  let unavailable why k =
+    ignore (Atomic.fetch_and_add t.unavailable 1);
+    Json.to_string
+      (error_response req "unavailable"
+         (Printf.sprintf "%s after %d attempts" why (k + 1))
+         [])
+  in
   let order = shard_rank ~shards:t.config.shards (request_digest req) in
   let rec attempt k skip =
     let candidate =
@@ -488,15 +460,9 @@ let route t backends req line =
     in
     match candidate with
     | None ->
-      if k >= t.config.retries then begin
-        ignore (Atomic.fetch_and_add t.unavailable 1);
-        Json.to_string
-          (error_response req "unavailable"
-             (Printf.sprintf "no live shard after %d attempts" (k + 1))
-             [])
-      end
+      if k >= retries then unavailable "no live shard" k
       else begin
-        Unix.sleepf (t.config.backoff_base_s *. (2. ** float_of_int k));
+        backoff k;
         attempt (k + 1) []
       end
     | Some i -> (
@@ -504,163 +470,59 @@ let route t backends req line =
       | Some resp -> resp
       | None ->
         ignore (Atomic.fetch_and_add t.failovers 1);
-        if k >= t.config.retries then begin
-          ignore (Atomic.fetch_and_add t.unavailable 1);
-          Json.to_string
-            (error_response req "unavailable"
-               (Printf.sprintf "shard failover exhausted after %d attempts"
-                  (k + 1))
-               [])
-        end
+        if k >= retries then unavailable "shard failover exhausted" k
         else begin
-          Unix.sleepf (t.config.backoff_base_s *. (2. ** float_of_int k));
+          backoff k;
           attempt (k + 1) (i :: skip)
         end)
   in
   attempt 0 []
 
-let handle_line t backends oc line =
-  match Json.of_string line with
-  | Error msg ->
-    send_json oc (Server.error Json.Null "bad_request" ("invalid JSON: " ^ msg))
-  | Ok req -> (
-    match Option.bind (Json.member "op" req) Json.as_string with
-    | Some "fleet_status" ->
-      send_json oc
-        (Json.Obj
-           [ ("id", Server.request_id req);
-             ("ok", Json.Bool true);
-             ("result", status_json t)
+let answer t backends line req =
+  match Option.bind (Json.member "op" req) Json.as_string with
+  | Some "fleet_status" ->
+    Json.to_string
+      (Json.Obj
+         [ ("id", Server.request_id req);
+           ("ok", Json.Bool true);
+           ("result", status_json t)
+         ])
+  | _ ->
+    ignore (Atomic.fetch_and_add t.requests 1);
+    let admission = t.config.shard.Transport.dispatcher.Dispatcher.admission in
+    if
+      degraded t
+      && Admission.predict admission req = Tgd_analysis.Strategy.Expensive
+    then begin
+      (* degraded mode: Expensive-work shedding tightened to the router
+         edge — surviving shards keep their headroom for cheap traffic *)
+      ignore (Atomic.fetch_and_add t.degraded_shed 1);
+      Json.to_string
+        (error_response req "overloaded"
+           (Printf.sprintf
+              "fleet degraded (%d of %d shards live, quorum %d): expensive \
+               work shed"
+              (alive_count t) t.config.shards t.quorum)
+           [ ( "predicted_cost",
+               Json.String
+                 (Tgd_analysis.Strategy.cost_name
+                    Tgd_analysis.Strategy.Expensive) );
+             ("degraded", Json.Bool true)
            ])
-    | _ ->
-      ignore (Atomic.fetch_and_add t.requests 1);
-      let admission = t.config.shard.Transport.dispatcher.Dispatcher.admission in
-      if
-        degraded t
-        && Admission.predict admission req = Tgd_analysis.Strategy.Expensive
-      then begin
-        (* degraded mode: Expensive-work shedding tightened to the router
-           edge — surviving shards keep their headroom for cheap traffic *)
-        ignore (Atomic.fetch_and_add t.degraded_shed 1);
-        send_json oc
-          (error_response req "overloaded"
-             (Printf.sprintf
-                "fleet degraded (%d of %d shards live, quorum %d): expensive \
-                 work shed"
-                (alive_count t) t.config.shards t.quorum)
-             [ ( "predicted_cost",
-                 Json.String
-                   (Tgd_analysis.Strategy.cost_name
-                      Tgd_analysis.Strategy.Expensive) );
-               ("degraded", Json.Bool true)
-             ])
-      end
-      else send_line oc (route t backends req line))
-
-let session t conn fd =
-  let max_line =
-    t.config.shard.Transport.dispatcher.Dispatcher.server
-      .Server.max_line_bytes
-  in
-  let ic = Unix.in_channel_of_descr fd
-  and oc = Unix.out_channel_of_descr fd in
-  let backends : backends = Hashtbl.create 8 in
-  let rec loop () =
-    if Atomic.get t.draining then Transport.Drained
-    else
-      match Json.read_line_bounded ~max_bytes:max_line ic with
-      | Json.Eof ->
-        if Atomic.get t.draining then Transport.Drained
-        else Transport.Client_closed
-      | Json.Oversized n ->
-        send_json oc
-          (Server.error Json.Null "request_too_large"
-             (Printf.sprintf "request line of %d bytes exceeds limit %d" n
-                max_line));
-        loop ()
-      | Json.Line line ->
-        let line = String.trim line in
-        if line = "" then loop ()
-        else begin
-          handle_line t backends oc line;
-          loop ()
-        end
-  in
-  let reason = try loop () with exn -> Transport.classify_session_exn exn in
-  Transport.count_session_end t.session_ends reason;
-  ignore conn;
-  Hashtbl.iter (fun _ (_, _, bfd) ->
-      unregister_fd t bfd;
-      try Unix.close bfd with Unix.Unix_error (_, _, _) -> ())
-    backends;
-  (try flush oc
-   with Sys_error _ | Sys_blocked_io | Unix.Unix_error (_, _, _) -> ());
-  unregister_fd t fd;
-  try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
-
-let reject_over_limit t fd =
-  let oc = Unix.out_channel_of_descr fd in
-  (try
-     send_json oc
-       (Server.error Json.Null "overloaded" "connection limit reached")
-   with Sys_error _ | Unix.Unix_error (_, _, _) -> ());
-  unregister_fd t fd;
-  try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
-
-let live_conns t = locked t.mu (fun () -> Hashtbl.length t.conns)
-
-let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.draining then ()
-    else begin
-      (match Unix.select [ t.listener ] [] [] 0.25 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        (* accept under the fork mutex so the new fd is registered
-           before any fork can snapshot the table without it *)
-        match
-          locked t.fork_mu (fun () ->
-              match Unix.accept t.listener with
-              | fd, _peer ->
-                Hashtbl.replace t.fds fd ();
-                Some fd
-              | exception
-                  Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _) ->
-                None)
-        with
-        | None -> ()
-        | Some fd ->
-          if Atomic.get t.draining || live_conns t >= t.config.max_connections
-          then reject_over_limit t fd
-          else begin
-            (match t.config.idle_timeout_s with
-            | Some s when s > 0. -> (
-              try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s
-              with Unix.Unix_error (_, _, _) -> ())
-            | _ -> ());
-            let id =
-              locked t.mu (fun () ->
-                  let id = t.next_conn in
-                  t.next_conn <- id + 1;
-                  Hashtbl.replace t.conns id fd;
-                  id)
-            in
-            let th =
-              Thread.create
-                (fun () ->
-                  Fun.protect
-                    ~finally:(fun () ->
-                      locked t.mu (fun () -> Hashtbl.remove t.conns id))
-                    (fun () -> session t id fd))
-                ()
-            in
-            locked t.mu (fun () -> t.sessions <- th :: t.sessions)
-          end)
-      | exception Unix.Unix_error (EINTR, _, _) -> ());
-      loop ()
     end
-  in
-  loop ()
+    else route t backends req line
+
+(* The router's {!Transport} handler: per-session backend connections,
+   request lines forwarded verbatim. *)
+let router t ~conn:_ =
+  let backends : backends = Hashtbl.create 8 in
+  ignore (Atomic.fetch_and_add t.sessions 1);
+  { Transport.respond = answer t backends;
+    close =
+      (fun () ->
+        Hashtbl.iter (fun _ (_, _, fd) -> close_fd fd) backends;
+        ignore (Atomic.fetch_and_add t.sessions (-1)))
+  }
 
 (* ---- lifecycle ------------------------------------------------------- *)
 
@@ -673,41 +535,17 @@ let shard_sock_path config addr i =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "tgd_fleet_%d_shard%d.sock" (Unix.getpid ()) i)
 
-let bind_listener addr =
-  match addr with
-  | Transport.Unix_sock path ->
-    (try Unix.unlink path with Unix.Unix_error (_, _, _) -> ());
-    let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-    Unix.bind fd (ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | Transport.Tcp (host, port) ->
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    Unix.setsockopt fd SO_REUSEADDR true;
-    let inet =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).h_addr_list.(0)
-    in
-    Unix.bind fd (ADDR_INET (inet, port));
-    Unix.listen fd 64;
-    fd
-
 let start (config : config) addr =
   if config.shards < 1 then invalid_arg "Fleet.start: shards must be >= 1";
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
   (* [Unix.fork] needs a single running domain; the warm-pool registry is
      the one thing in this process that may be holding domains alive *)
   Pool.warm_shutdown ();
   let t =
     { config;
-      addr;
       quorum =
         (match config.quorum with
         | Some q -> max 1 (min q config.shards)
         | None -> (config.shards / 2) + 1);
-      listener = bind_listener addr;
       sup = Supervisor.create config.policy ~slots:config.shards;
       shards =
         Array.init config.shards (fun i ->
@@ -718,14 +556,9 @@ let start (config : config) addr =
               last_beat = 0.
             });
       draining = Atomic.make false;
-      fork_mu = Mutex.create ();
-      fds = Hashtbl.create 64;
-      mu = Mutex.create ();
-      conns = Hashtbl.create 16;
       session_ends = Transport.fresh_session_counters ();
-      sessions = [];
-      next_conn = 0;
-      accept_thread = None;
+      sessions = Atomic.make 0;
+      front = None;
       monitor_thread = None;
       respawns = Atomic.make 0;
       chaos_kills = Atomic.make 0;
@@ -735,54 +568,32 @@ let start (config : config) addr =
       unavailable = Atomic.make 0
     }
   in
-  Hashtbl.replace t.fds t.listener ();
+  t.front <-
+    Some
+      (Transport.listen ~session_ends:t.session_ends config.shard addr
+         (router t));
   for i = 0 to config.shards - 1 do
     spawn_shard t i
   done;
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
   t.monitor_thread <- Some (Thread.create (fun () -> monitor t) ());
   t
 
-let drain t = Atomic.set t.draining true
+let drain t =
+  Atomic.set t.draining true;
+  Option.iter Transport.drain t.front
 
 let wait t =
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
-  (try Unix.close t.listener with Unix.Unix_error (_, _, _) -> ());
-  (match t.addr with
-  | Transport.Unix_sock path -> (
-    try Unix.unlink path with Unix.Unix_error (_, _, _) -> ())
-  | Transport.Tcp _ -> ());
-  (* wake client readers; in-flight proxy calls still finish writing *)
-  let shutdown_conns mode =
-    let fds =
-      locked t.mu (fun () ->
-          Hashtbl.fold (fun _ fd acc -> fd :: acc) t.conns [])
-    in
-    List.iter
-      (fun fd ->
-        try Unix.shutdown fd mode with Unix.Unix_error (_, _, _) -> ())
-      fds
-  in
-  shutdown_conns Unix.SHUTDOWN_RECEIVE;
-  let deadline = Unix.gettimeofday () +. t.config.drain_grace_s in
-  let rec poll () =
-    if live_conns t > 0 && Unix.gettimeofday () < deadline then begin
-      Thread.delay 0.02;
-      poll ()
-    end
-  in
-  poll ();
-  if live_conns t > 0 then shutdown_conns Unix.SHUTDOWN_ALL;
-  let sessions = locked t.mu (fun () -> t.sessions) in
-  List.iter Thread.join sessions;
-  (match t.monitor_thread with Some th -> Thread.join th | None -> ());
-  (* only now stop the shards: every proxied request got its response *)
+  (* every proxied request gets its response before the shards stop *)
+  ignore (Option.map Transport.wait t.front);
+  Option.iter Thread.join t.monitor_thread;
   Array.iter
     (fun sh ->
       if sh.pid > 0 then
         try Unix.kill sh.pid Sys.sigterm with Unix.Unix_error (_, _, _) -> ())
     t.shards;
-  let deadline = Unix.gettimeofday () +. t.config.drain_grace_s in
+  let deadline =
+    Unix.gettimeofday () +. t.config.shard.Transport.drain_grace_s
+  in
   let rec reap () =
     let pending =
       Array.fold_left
@@ -814,10 +625,7 @@ let wait t =
   reap ();
   Array.iter
     (fun sh ->
-      (match sh.hb with
-      | Some fd -> (
-        try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-      | None -> ());
+      release_beat sh;
       try Unix.unlink sh.sock with Unix.Unix_error (_, _, _) -> ())
     t.shards;
   0

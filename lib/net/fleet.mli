@@ -3,11 +3,14 @@
 
     {!start} forks [shards] worker processes, each running the ordinary
     socket serve loop ({!Transport.serve}) on its own Unix socket with
-    its own domain pool and warm caches, and runs a front-end router in
-    the parent that proxies NDJSON request lines to shards by rendezvous
-    hash of the ontology digest — the same rule set always lands on the
-    same shard, preserving per-shard cache affinity.  One shard OOMing,
-    crashing, or wedging takes out only its own process.
+    its own domain pool and warm caches.  The parent's front-end router
+    is a {!Transport.listen} lifecycle whose handler proxies NDJSON
+    request lines to shards by rendezvous hash of the ontology digest —
+    the same rule set always lands on the same shard, preserving
+    per-shard cache affinity.  One shard OOMing, crashing, or wedging
+    takes out only its own process.  The router's connection limit, idle
+    timeout and drain grace are the shard config's, as are its failover
+    [retries] and [backoff_base_s] (from the server config).
 
     {b Supervision.}  Shards heartbeat the parent over a pipe; the
     monitor thread reaps exits ([waitpid WNOHANG]), treats heartbeat
@@ -20,7 +23,7 @@
 
     {b Failover.}  A shard dying mid-request makes the router retry the
     request line on the next live shard in rendezvous order, with the
-    serve loop's exponential-backoff ladder; responses are forwarded
+    exponential-backoff retry ladder; responses are forwarded
     byte-for-byte, so a failed-over response is identical to the one a
     healthy fleet (or a single server) would have produced.  Only a
     fleet with nothing live left after [retries] attempts answers a
@@ -32,7 +35,12 @@
     typed [overloaded] error carrying ["degraded": true].
 
     An [{"op": "fleet_status"}] request is answered by the router itself
-    with {!status_json}; everything else proxies. *)
+    with {!status_json}; everything else proxies.
+
+    {b Forking.}  Shards start by [Unix.fork], which needs a single
+    running domain: the router never spawns one.  A fresh shard closes
+    every descriptor it inherited — as listed by [/proc/self/fd] — except
+    0–2 and its heartbeat write end, before it serves. *)
 
 type config = {
   shards : int;                  (** worker processes (>= 1) *)
@@ -43,11 +51,6 @@ type config = {
   beat_s : float;                (** shard heartbeat period *)
   policy : Tgd_engine.Supervisor.policy;
       (** respawn backoff, wedge window, monitor tick *)
-  max_connections : int;         (** router connection limit *)
-  idle_timeout_s : float option; (** close router sessions quiet this long *)
-  drain_grace_s : float;         (** drain patience before cutting *)
-  retries : int;                 (** failover attempts per request *)
-  backoff_base_s : float;        (** failover ladder base delay *)
   shard_dir : string option;     (** directory for shard sockets; default
                                      derives from the fleet address *)
 }
@@ -55,7 +58,7 @@ type config = {
 val default_config : config
 (** 4 shards of {!Transport.default_config}, majority quorum, 250 ms
     heartbeats, 1000-restart budget with 50 ms–2 s backoff and a 3 s
-    wedge window, 4 failover retries. *)
+    wedge window. *)
 
 (** {2 Placement} *)
 

@@ -1,26 +1,35 @@
-(* Socket transport: accept loop, framed NDJSON sessions, graceful drain.
+(* The one NDJSON serve loop, and the listener lifecycle around it.
+
+   Every serving surface runs {!session}: stdin/stdout under
+   [tgdtool serve], each connection of a socket server, and each client
+   connection of the fleet router.  The loop reads a bounded line
+   ({!Tgd_serve.Json.read_line_bounded}: oversized lines are consumed
+   and answered with [request_too_large], CRLF and trailing partial lines
+   are tolerated), parses it, hands it to the surface's per-session
+   handler, writes exactly one response line, and classifies how the
+   session ended.  So framing, error texts and drain behaviour exist once.
 
    Concurrency model: the engine's parallelism lives in the dispatcher's
-   domain pool; connections only need to block on IO, so each session is
-   a systhread ([threads.posix]) — blocking reads release the runtime
-   lock, and a thousand mostly-idle connections cost a stack each, not a
-   domain each.  The accept loop is itself a thread that polls a
-   [select] with a short timeout so it can notice the draining flag
-   without a wakeup pipe.
+   domain pool; sessions only need to block on IO, so each session is a
+   systhread ([threads.posix]) — blocking reads release the runtime lock,
+   and a thousand mostly-idle connections cost a stack each, not a domain
+   each.  The accept loop is itself a thread that polls a [select] with a
+   short timeout so it can notice the draining flag without a wakeup
+   pipe.  Idle connections are bounded with [SO_RCVTIMEO]; the timeout
+   surfaces as a [Sys_error] from the channel read and closes the session.
 
-   Framing is the same NDJSON protocol as the stdio loop, read through
-   {!Tgd_serve.Json.read_line_bounded}: oversized lines are consumed and
-   answered with [request_too_large], CRLF and trailing partial lines
-   are tolerated.  Idle connections are bounded with [SO_RCVTIMEO]; the
-   timeout surfaces as a [Sys_error] from the channel read and closes
-   the session.
+   The listener never creates a {!Dispatcher}: the socket and stdio entry
+   points do.  The fleet router listens with its own handler and must
+   never spawn a domain, because its shards start by [fork].
 
    Graceful drain (SIGINT/SIGTERM or {!drain}): the accept loop exits,
-   the listener closes, and every in-flight connection is woken with
+   the listener closes, and every socket session is woken with
    [shutdown SHUTDOWN_RECEIVE] — a blocked reader sees end-of-file, a
-   session mid-request finishes writing its response first.  Sessions
-   still open after [drain_grace_s] are cut with [SHUTDOWN_ALL].  Only
-   then is the worker pool shut down, so no admitted request loses its
+   session mid-request finishes writing its response first.  A line read
+   after the drain began is not answered.  Sessions still busy after
+   [drain_grace_s] are cut with [SHUTDOWN_ALL].  A stdio session blocked
+   on a still-open stdin cannot be woken and is not waited for.  Only then
+   is the worker pool shut down, so no admitted request loses its
    worker. *)
 
 module Json = Tgd_serve.Json
@@ -129,16 +138,85 @@ let session_counters_json c =
       ("errors", Json.Int (Atomic.get c.errors))
     ]
 
+(* ---- handlers -------------------------------------------------------- *)
+
+type session = {
+  respond : string -> Json.t -> string;
+  close : unit -> unit;
+}
+
+type handler = conn:int -> session
+
+let dispatch d ~conn =
+  { respond = (fun _line req -> Json.to_string (Dispatcher.handle ~conn d req));
+    close = ignore
+  }
+
+(* ---- the session loop ------------------------------------------------ *)
+
+let send oc line =
+  output_string oc line;
+  output_char oc '\n';
+  flush oc
+
+(* Answer lines until end-of-input, drain, or a channel error.  [busy] is
+   up from the moment a line is read until its response is written: the
+   drain waits on it, and a line read once the drain began is dropped
+   unanswered.  Transport-level session ends (peer gone, reset, idle
+   timeout) are classified, never answered. *)
+let session ~max_line_bytes ~draining ~busy (s : session) ic oc =
+  let answer = function
+    | Json.Oversized n ->
+      send oc
+        (Json.to_string
+           (Server.error Json.Null "request_too_large"
+              (Printf.sprintf "request line of %d bytes exceeds limit %d" n
+                 max_line_bytes)))
+    | Json.Line line -> (
+      let line = String.trim line in
+      if line <> "" then
+        match Json.of_string line with
+        | Error msg ->
+          send oc
+            (Json.to_string
+               (Server.error Json.Null "bad_request" ("invalid JSON: " ^ msg)))
+        | Ok req -> send oc (s.respond line req))
+    | Json.Eof -> ()
+  in
+  let rec loop () =
+    if Atomic.get draining then Drained
+    else
+      match Json.read_line_bounded ~max_bytes:max_line_bytes ic with
+      | Json.Eof -> if Atomic.get draining then Drained else Client_closed
+      | frame ->
+        Atomic.set busy true;
+        if Atomic.get draining then Drained
+        else begin
+          answer frame;
+          Atomic.set busy false;
+          loop ()
+        end
+  in
+  try loop () with exn -> classify_session_exn exn
+
+(* ---- the listener lifecycle ------------------------------------------ *)
+
+type conn = {
+  fd : Unix.file_descr option;  (* [None]: stdio, which shutdown cannot wake *)
+  busy : bool Atomic.t;
+}
+
 type t = {
   config : config;
-  addr : addr;
-  dispatcher : Dispatcher.t;
-  listener : Unix.file_descr;
+  addr : addr option;
+  listener : Unix.file_descr option;
+  handler : handler;
+  on_drained : unit -> unit;
   draining : bool Atomic.t;
   mu : Mutex.t;
-  conns : (int, Unix.file_descr) Hashtbl.t;
+  conns : (int, conn) Hashtbl.t;
   session_ends : session_counters;
-  mutable sessions : Thread.t list;
+  mutable sessions : Thread.t list;  (* socket sessions, joined on drain *)
   mutable next_conn : int;
   mutable accept_thread : Thread.t option;
 }
@@ -147,101 +225,70 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let register t fd =
-  locked t (fun () ->
-      let id = t.next_conn in
-      t.next_conn <- id + 1;
-      Hashtbl.replace t.conns id fd;
-      id)
-
-let deregister t id = locked t (fun () -> Hashtbl.remove t.conns id)
 let live_conns t = locked t (fun () -> Hashtbl.length t.conns)
 
-let send oc resp =
-  output_string oc (Json.to_string resp);
-  output_char oc '\n';
-  flush oc
+let quietly f = try f () with Sys_error _ | Sys_blocked_io | Unix.Unix_error (_, _, _) -> ()
 
-(* Answer lines until end-of-input, drain, or a connection error.  Every
-   parsed line gets exactly one terminal response; transport-level
-   session ends (peer gone, reset, idle timeout) are classified and
-   counted, never answered. *)
-let session t conn fd =
-  let cfg = t.config.dispatcher.Dispatcher.server in
-  let ic = Unix.in_channel_of_descr fd
-  and oc = Unix.out_channel_of_descr fd in
-  let rec loop () =
-    if Atomic.get t.draining then Drained
-    else
-      match
-        Json.read_line_bounded ~max_bytes:cfg.Server.max_line_bytes ic
-      with
-      | Json.Eof -> if Atomic.get t.draining then Drained else Client_closed
-      | Json.Oversized n ->
-        send oc
-          (Server.error Json.Null "request_too_large"
-             (Printf.sprintf "request line of %d bytes exceeds limit %d" n
-                cfg.Server.max_line_bytes));
-        loop ()
-      | Json.Line line ->
-        let line = String.trim line in
-        if line = "" then loop ()
-        else begin
-          (match Json.of_string line with
-          | Error msg -> send oc (Server.error Json.Null "bad_request" msg)
-          | Ok req -> send oc (Dispatcher.handle ~conn t.dispatcher req));
-          loop ()
-        end
+(* Run one session in its own thread, registered for the drain. *)
+let add_session t ?fd ic oc ~release =
+  let busy = Atomic.make false in
+  let id =
+    locked t (fun () ->
+        let id = t.next_conn in
+        t.next_conn <- id + 1;
+        Hashtbl.replace t.conns id { fd; busy };
+        id)
   in
-  let reason = try loop () with exn -> classify_session_exn exn in
-  count_session_end t.session_ends reason;
-  (try flush oc
-   with Sys_error _ | Sys_blocked_io | Unix.Unix_error (_, _, _) -> ());
-  try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+  let run () =
+    Fun.protect
+      ~finally:(fun () -> locked t (fun () -> Hashtbl.remove t.conns id))
+      (fun () ->
+        let s = t.handler ~conn:id in
+        let reason =
+          session
+            ~max_line_bytes:
+              t.config.dispatcher.Dispatcher.server.Server.max_line_bytes
+            ~draining:t.draining ~busy s ic oc
+        in
+        count_session_end t.session_ends reason;
+        s.close ();
+        quietly (fun () -> flush oc);
+        release ())
+  in
+  let th = Thread.create run () in
+  if fd <> None then locked t (fun () -> t.sessions <- th :: t.sessions)
+
+let close_fd fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
 let reject_over_limit fd =
-  let oc = Unix.out_channel_of_descr fd in
-  (try
-     send oc
-       (Server.error Json.Null "overloaded" "connection limit reached")
-   with Sys_error _ | Unix.Unix_error (_, _, _) -> ());
-  try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+  quietly (fun () ->
+      send
+        (Unix.out_channel_of_descr fd)
+        (Json.to_string
+           (Server.error Json.Null "overloaded" "connection limit reached")));
+  close_fd fd
 
-let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.draining then ()
-    else begin
-      (match Unix.select [ t.listener ] [] [] 0.25 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept t.listener with
-        | exception Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _) ->
-          ()
-        | fd, _peer ->
-          if Atomic.get t.draining || live_conns t >= t.config.max_connections
-          then reject_over_limit fd
-          else begin
-            (match t.config.idle_timeout_s with
-            | Some s when s > 0. -> (
-              try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s
-              with Unix.Unix_error (_, _, _) -> ())
-            | _ -> ());
-            let id = register t fd in
-            let th =
-              Thread.create
-                (fun () ->
-                  Fun.protect
-                    ~finally:(fun () -> deregister t id)
-                    (fun () -> session t id fd))
-                ()
-            in
-            locked t (fun () -> t.sessions <- th :: t.sessions)
-          end)
-      | exception Unix.Unix_error (EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  loop ()
+let accept_loop t listener =
+  while not (Atomic.get t.draining) do
+    match Unix.select [ listener ] [] [] 0.25 with
+    | [], _, _ -> ()
+    | _ :: _, _, _ -> (
+      match Unix.accept listener with
+      | exception Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _) -> ()
+      | fd, _peer ->
+        if Atomic.get t.draining || live_conns t >= t.config.max_connections
+        then reject_over_limit fd
+        else begin
+          (match t.config.idle_timeout_s with
+          | Some s when s > 0. -> (
+            try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s
+            with Unix.Unix_error (_, _, _) -> ())
+          | _ -> ());
+          add_session t ~fd (Unix.in_channel_of_descr fd)
+            (Unix.out_channel_of_descr fd) ~release:(fun () -> close_fd fd)
+        end)
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+  done
 
 let bind_listener addr =
   match addr with
@@ -262,74 +309,113 @@ let bind_listener addr =
     Unix.listen fd 64;
     fd
 
-let start config addr =
+let make ?(session_ends = fresh_session_counters ()) ?addr ?listener config
+    handler ~on_drained =
+  { config;
+    addr;
+    listener;
+    handler;
+    on_drained;
+    draining = Atomic.make false;
+    mu = Mutex.create ();
+    conns = Hashtbl.create 16;
+    session_ends;
+    sessions = [];
+    next_conn = 0;
+    accept_thread = None
+  }
+
+let accepting t =
   (match Sys.os_type with
   | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   | _ -> ());
+  Option.iter
+    (fun l -> t.accept_thread <- Some (Thread.create (accept_loop t) l))
+    t.listener;
+  t
+
+let listen ?session_ends config addr handler =
+  let listener = bind_listener addr in
+  accepting
+    (make ?session_ends ~addr ~listener config handler ~on_drained:ignore)
+
+(* A lifecycle answering through its own dispatcher.  The address is
+   bound before the worker pool spawns, so a bind failure leaks no
+   domains. *)
+let dispatched ?addr config =
+  let listener = Option.map bind_listener addr in
+  let d = Dispatcher.create config.dispatcher in
   let t =
-    { config;
-      addr;
-      dispatcher = Dispatcher.create config.dispatcher;
-      listener = bind_listener addr;
-      draining = Atomic.make false;
-      mu = Mutex.create ();
-      conns = Hashtbl.create 16;
-      session_ends = fresh_session_counters ();
-      sessions = [];
-      next_conn = 0;
-      accept_thread = None
-    }
+    make ?addr ?listener config (dispatch d) ~on_drained:(fun () ->
+        Dispatcher.shutdown d)
   in
-  Dispatcher.add_stats t.dispatcher "sessions" (fun () ->
+  Dispatcher.add_stats d "sessions" (fun () ->
       session_counters_json t.session_ends);
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  t
+
+let start config addr = accepting (dispatched ~addr config)
+
+let stdio config ic oc =
+  let t = accepting (dispatched config) in
+  add_session t ic oc ~release:ignore;
   t
 
 let drain t = Atomic.set t.draining true
 
 let wait t =
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
-  (try Unix.close t.listener with Unix.Unix_error (_, _, _) -> ());
+  (* until the drain begins: the accept loop returns on it; a stdio
+     lifecycle has no accept loop and also ends when its session does *)
+  (match t.accept_thread with
+  | Some th -> Thread.join th
+  | None ->
+    while (not (Atomic.get t.draining)) && live_conns t > 0 do
+      Thread.delay 0.05
+    done);
+  Option.iter close_fd t.listener;
   (match t.addr with
-  | Unix_sock path -> (
+  | Some (Unix_sock path) -> (
     try Unix.unlink path with Unix.Unix_error (_, _, _) -> ())
-  | Tcp _ -> ());
+  | _ -> ());
   (* Wake readers blocked on quiet connections: they see end-of-file and
      fall out of their session loop; writes in flight still complete. *)
   let shutdown_conns mode =
-    let fds = locked t (fun () -> Hashtbl.fold (fun _ fd acc -> fd :: acc) t.conns []) in
+    let fds =
+      locked t (fun () ->
+          Hashtbl.fold (fun _ c acc -> Option.to_list c.fd @ acc) t.conns [])
+    in
     List.iter
-      (fun fd ->
-        try Unix.shutdown fd mode with Unix.Unix_error (_, _, _) -> ())
+      (fun fd -> try Unix.shutdown fd mode with Unix.Unix_error (_, _, _) -> ())
       fds
   in
   shutdown_conns Unix.SHUTDOWN_RECEIVE;
-  let deadline = Unix.gettimeofday () +. t.config.drain_grace_s in
-  let rec poll () =
-    if live_conns t > 0 && Unix.gettimeofday () < deadline then begin
-      Thread.delay 0.02;
-      poll ()
-    end
+  (* a socket session is waited for until it ends, stdio only while busy *)
+  let pending () =
+    locked t (fun () ->
+        Hashtbl.fold
+          (fun _ c n -> if c.fd <> None || Atomic.get c.busy then n + 1 else n)
+          t.conns 0)
   in
-  poll ();
-  if live_conns t > 0 then shutdown_conns Unix.SHUTDOWN_ALL;
-  let sessions = locked t (fun () -> t.sessions) in
-  List.iter Thread.join sessions;
-  Dispatcher.shutdown t.dispatcher;
+  let deadline = Unix.gettimeofday () +. t.config.drain_grace_s in
+  while pending () > 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.02
+  done;
+  if pending () > 0 then shutdown_conns Unix.SHUTDOWN_ALL;
+  List.iter Thread.join (locked t (fun () -> t.sessions));
+  t.on_drained ();
   0
 
 let stop t =
   drain t;
   wait t
 
-let dispatcher t = t.dispatcher
 let session_ends t = t.session_ends
 
-let serve ?(signals = true) config addr =
-  let t = start config addr in
+let run ?(signals = true) t =
   if signals then begin
     let handler = Sys.Signal_handle (fun _ -> drain t) in
     Sys.set_signal Sys.sigint handler;
     Sys.set_signal Sys.sigterm handler
   end;
   wait t
+
+let serve ?signals config addr = run ?signals (start config addr)

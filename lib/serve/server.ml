@@ -341,104 +341,3 @@ let handle config req =
         end
       in
       attempt 0)
-
-(* ---- the serve loop ------------------------------------------------ *)
-
-let serve ?(config = default_config) ?(signals = true) ic oc =
-  let draining = Atomic.make false in
-  if signals then begin
-    let handler = Sys.Signal_handle (fun _ -> Atomic.set draining true) in
-    Sys.set_signal Sys.sigterm handler;
-    Sys.set_signal Sys.sigint handler
-  end;
-  let qmutex = Mutex.create () in
-  let queue : string Queue.t = Queue.create () in
-  let eof = Atomic.make false in
-  let out_mutex = Mutex.create () in
-  let respond json =
-    Mutex.lock out_mutex;
-    output_string oc (Json.to_string json);
-    output_char oc '\n';
-    flush oc;
-    Mutex.unlock out_mutex
-  in
-  let line_id line =
-    match Json.of_string line with Ok req -> request_id req | Error _ -> Json.Null
-  in
-  (* Reader domain: stdin is a blocking stream, so a dedicated domain
-     feeds the queue while the main domain works.  Load shedding happens
-     at the enqueue edge — a request over the depth limit is answered
-     [overloaded] immediately, never silently dropped — and requests
-     arriving after a drain signal are answered [shutting_down]. *)
-  let reader =
-    Domain.spawn (fun () ->
-        let rec go () =
-          match Json.read_line_bounded ~max_bytes:config.max_line_bytes ic with
-          | Json.Eof -> Atomic.set eof true
-          | Json.Oversized n ->
-            (* the id was discarded with the payload; still answer, so the
-               client sees exactly one terminal response for the line *)
-            respond
-              (error Json.Null "request_too_large"
-                 (Printf.sprintf
-                    "request line of %d bytes exceeds the %d byte limit" n
-                    config.max_line_bytes));
-            go ()
-          | Json.Line line ->
-            if String.trim line = "" then go ()
-            else if Atomic.get draining then begin
-              respond
-                (error (line_id line) "shutting_down"
-                   "server is draining; request not accepted");
-              go ()
-            end
-            else begin
-              let shed =
-                Mutex.lock qmutex;
-                let shed = Queue.length queue >= config.queue_limit in
-                if not shed then Queue.push line queue;
-                Mutex.unlock qmutex;
-                shed
-              in
-              if shed then
-                respond
-                  (error (line_id line) "overloaded"
-                     (Printf.sprintf "request queue is full (limit %d)"
-                        config.queue_limit));
-              go ()
-            end
-          | exception Sys_error _ -> Atomic.set eof true
-        in
-        go ())
-  in
-  let rec main () =
-    let item =
-      Mutex.lock qmutex;
-      let it = if Queue.is_empty queue then None else Some (Queue.pop queue) in
-      Mutex.unlock qmutex;
-      it
-    in
-    match item with
-    | Some line ->
-      (match Json.of_string line with
-      | Ok req -> respond (handle config req)
-      | Error msg ->
-        respond (error Json.Null "bad_request" ("invalid JSON: " ^ msg)));
-      main ()
-    | None ->
-      (* drain contract: exit only once the queue is empty, so every
-         request accepted before EOF/SIGTERM got its terminal response *)
-      if Atomic.get eof || Atomic.get draining then 0
-      else begin
-        (* the stdlib has no timed condition wait; a coarse sleep-poll on
-           the idle path costs nothing measurable at request granularity *)
-        Unix.sleepf 0.02;
-        main ()
-      end
-  in
-  let code = main () in
-  (* after EOF the reader has returned and can be reaped; after a drain
-     signal it may still be blocked on [input_line] — leave it to die with
-     the process rather than hang the shutdown on a read *)
-  if Atomic.get eof then Domain.join reader;
-  code

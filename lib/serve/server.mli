@@ -1,25 +1,21 @@
-(** The fault-tolerant request loop behind [tgdtool serve].
+(** The request handler behind [tgdtool serve].
 
     The protocol is line-delimited JSON ({!Json}): one request object per
-    line on the input channel, one terminal response object per request on
-    the output channel.  Requests are [{"id": …, "op": …, …}] where [op]
+    line, one terminal response object per request, served over stdio or
+    sockets by [Tgd_net.Transport]'s session loop.  Requests are [{"id": …, "op": …, …}] where [op]
     is one of [classify], [chase], [entail], [rewrite], [analyze];
     responses echo the [id] and are either
     [{"id": …, "ok": true, "result": …}] or
     [{"id": …, "ok": false, "error": {"code": …, "message": …}}] with
     codes [bad_request], [overloaded], [fault], [internal],
-    [shutting_down], [request_too_large].
+    [request_too_large].
 
-    {b Robustness contract.}  Every accepted request gets exactly one
-    terminal response, in request order; no input — malformed JSON,
-    unknown op, injected fault — crashes the loop.  Transient failures
-    (the [serve.request] {!Tgd_engine.Chaos} site, or engine runs
-    truncated by an injected [Fault]) retry with exponential backoff up
-    to [retries] attempts before answering [fault].  Requests beyond
-    [queue_limit] in-flight lines are shed immediately with [overloaded]
-    rather than queued without bound.  SIGINT/SIGTERM switch the loop
-    into draining: queued requests are answered, new ones get
-    [shutting_down], and {!serve} returns. *)
+    {b Robustness contract.}  {!handle} answers every request with
+    exactly one terminal response; no input — unknown op, bad fields,
+    injected fault — makes it raise.  Transient failures (the
+    [serve.request] {!Tgd_engine.Chaos} site, or engine runs truncated by
+    an injected [Fault]) retry with exponential backoff up to [retries]
+    attempts before answering [fault]. *)
 
 type config = {
   rounds : int;       (** default chase round cap per request *)
@@ -27,7 +23,9 @@ type config = {
   timeout_s : float option;  (** per-request wall-clock deadline *)
   retries : int;      (** retry attempts after a transient fault *)
   backoff_base_s : float;    (** first retry delay; doubles per attempt *)
-  queue_limit : int;  (** queued requests beyond which new ones shed *)
+  queue_limit : int;
+      (** in-flight requests beyond which new ones shed (the admission
+          limit the serving front ends derive) *)
   max_line_bytes : int;
       (** request lines longer than this are answered with a typed
           [request_too_large] error instead of buffered without bound *)
@@ -69,15 +67,4 @@ val analyze_memo : string Tgd_engine.Memo.t
 val handle : config -> Json.t -> Json.t
 (** Process one parsed request to its terminal response.  Total: never
     raises, for any input (including injected faults — those either retry
-    to success or surface as the [fault] error code).  Exposed for tests
-    and for embedding the dispatcher without the IO loop. *)
-
-val serve : ?config:config -> ?signals:bool -> in_channel -> out_channel -> int
-(** Run the loop until end-of-input or a drain signal; returns the process
-    exit code (0).  A dedicated domain reads lines while the caller's
-    domain answers them, so slow requests don't stall shedding.
-
-    [signals] (default [true]) installs SIGINT/SIGTERM handlers that
-    trigger a graceful drain; pass [false] when embedding in a process
-    that owns its signal disposition (tests use this with channel pairs
-    backed by temp files). *)
+    to success or surface as the [fault] error code). *)

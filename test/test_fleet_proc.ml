@@ -31,17 +31,17 @@ let fresh_sock () =
   Sys.remove path;
   path
 
-let shard_config ?(workers = 2) () =
-  let server = Server.default_config in
+let shard_config ?(server = Server.default_config) ?(drain_grace_s = 2.0) ()
+    =
   { Transport.dispatcher =
       { Dispatcher.server;
-        workers;
+        workers = 2;
         admission =
           Admission.default_config ~queue_limit:server.Server.queue_limit
       };
     max_connections = 16;
     idle_timeout_s = None;
-    drain_grace_s = 2.0
+    drain_grace_s
   }
 
 let fast_policy =
@@ -59,12 +59,17 @@ let with_fleet ?(shards = 3) ?(policy = fast_policy) f =
     Fleet.start
       { Fleet.default_config with
         shards;
-        shard = shard_config ();
+        (* the router's failover ladder and drain grace are the shard's *)
+        shard =
+          shard_config
+            ~server:
+              { Server.default_config with
+                Server.retries = 6;
+                backoff_base_s = 0.05
+              }
+            ~drain_grace_s:3.0 ();
         policy;
-        beat_s = 0.05;
-        drain_grace_s = 3.0;
-        retries = 6;
-        backoff_base_s = 0.05
+        beat_s = 0.05
       }
       addr
   in
@@ -77,6 +82,10 @@ let with_fleet ?(shards = 3) ?(policy = fast_policy) f =
   in
   Fun.protect ~finally:stop (fun () -> f t addr);
   check_bool "front socket unlinked after drain" false (Sys.file_exists sock)
+
+let addr_path = function
+  | Transport.Unix_sock path -> path
+  | Transport.Tcp _ -> Alcotest.fail "fleet tests listen on Unix sockets"
 
 let wait_for ?(timeout = 15.) what pred =
   let deadline = Unix.gettimeofday () +. timeout in
@@ -202,6 +211,93 @@ let test_failover_collect () =
       check_int "all requests answered under the kill" 24
         (List.length !failover_responses))
 
+let shard_pid t i =
+  match Option.bind (Json.member "shard" (Fleet.status_json t)) Json.as_list with
+  | Some shards -> (
+    match Json.member "pid" (List.nth shards i) with
+    | Some (Json.Int pid) -> pid
+    | _ -> 0)
+  | None -> 0
+
+(* The targets of a process's descriptors above stdio, e.g.
+   ["socket:[123]"]. *)
+let fd_links pid =
+  let dir = Printf.sprintf "/proc/%s/fd" pid in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter_map (fun e ->
+         match int_of_string_opt e with
+         | Some n when n > 2 -> (
+           try Some (Unix.readlink (Filename.concat dir e))
+           with Unix.Unix_error _ -> None)
+         | _ -> None)
+
+(* A shard respawned while a router session (and its backend connections)
+   is open must hold none of the router's sockets or pipes — only its own
+   heartbeat pipe, whose read end the router keeps. *)
+let test_respawned_shard_inherits_nothing () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  with_fleet (fun t addr ->
+      let fd = Loadgen.connect ~attempts:20 addr in
+      let ic = Unix.in_channel_of_descr fd
+      and oc = Unix.out_channel_of_descr fd in
+      let rpc line =
+        output_string oc line;
+        output_char oc '\n';
+        flush oc;
+        input_line ic
+      in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          ignore (List.map rpc script);
+          let old = shard_pid t 0 in
+          check_bool "shard killed" true (Fleet.kill_shard t 0);
+          wait_for "respawn after kill" (fun () ->
+              let pid = shard_pid t 0 in
+              pid > 0 && pid <> old);
+          let pid = shard_pid t 0 in
+          (* the respawned shard answers on its own socket, so its
+             descriptor sweep has run *)
+          let shard = Transport.Unix_sock (addr_path addr ^ ".shard0") in
+          check_int "respawned shard serves" 1
+            (List.length (talk shard [ List.hd script ]));
+          ignore (List.map rpc script);
+          let ours = fd_links "self" in
+          let shared kind =
+            List.filter
+              (fun l ->
+                String.starts_with ~prefix:kind l && List.mem l ours)
+              (fd_links (string_of_int pid))
+          in
+          check_int "no router socket inherited" 0
+            (List.length (shared "socket:"));
+          check_int "only the heartbeat pipe is shared" 1
+            (List.length (shared "pipe:"))))
+
+(* A stdio session over a pipe pair, ended by end-of-input. *)
+let talk_stdio config lines =
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  let t =
+    Transport.stdio config
+      (Unix.in_channel_of_descr in_r)
+      (Unix.out_channel_of_descr out_w)
+  in
+  let oc = Unix.out_channel_of_descr in_w
+  and ic = Unix.in_channel_of_descr out_r in
+  let resps =
+    List.map
+      (fun line ->
+        output_string oc line;
+        output_char oc '\n';
+        flush oc;
+        input_line ic)
+      lines
+  in
+  Unix.close in_w;
+  check_int "stdio session exits 0 at end of input" 0 (Transport.wait t);
+  List.iter Unix.close [ in_r; out_r; out_w ];
+  resps
+
 (* LAST: spawns domains, which forbids any further fork in this
    process. *)
 let test_failover_byte_identical () =
@@ -210,7 +306,9 @@ let test_failover_byte_identical () =
   let expected = talk (Transport.Unix_sock sock) script in
   check_int "single-process drain exits 0" 0 (Transport.stop single);
   check_bool "failover responses byte-identical to single-process run" true
-    (expected = !failover_responses)
+    (expected = !failover_responses);
+  check_bool "stdio responses byte-identical to single-process run" true
+    (expected = talk_stdio (shard_config ()) script)
 
 let () =
   Alcotest.run "tgdonto-fleet"
@@ -223,6 +321,8 @@ let () =
             test_fleet_status_op;
           Alcotest.test_case "failover under mid-stream shard kill" `Slow
             test_failover_collect;
+          Alcotest.test_case "respawned shard inherits no router descriptor"
+            `Slow test_respawned_shard_inherits_nothing;
           Alcotest.test_case
             "failover responses byte-identical to single-process run" `Slow
             test_failover_byte_identical

@@ -35,6 +35,69 @@ let error_code resp =
 
 (* -- warm cache byte ceiling --------------------------------------------- *)
 
+(* Every serve-scope table sits under the one [--cache-bytes] ceiling:
+   after 200 distinct ontologies through a dispatcher, the tables' summed
+   footprint stays within it, and each table that holds entries is
+   weighed (an unbounded table does not weigh its entries at all). *)
+let test_serve_tables_bounded () =
+  let bound = 4 * 1024 * 1024 in
+  let tables () =
+    [ ("entailment", Tgd_chase.Entailment.cache_counters ());
+      ("chase results", Tgd_chase.Chase.memo_counters ());
+      ("analyze", Memo.counters Server.analyze_memo)
+    ]
+    @ List.map
+        (fun m -> (Memo.name m, Memo.counters m))
+        Tgd_chase.Chase.certificate_memos
+  in
+  Warm.configure ~cache_bytes:(Some bound);
+  Fun.protect
+    ~finally:(fun () -> Warm.configure ~cache_bytes:None)
+    (fun () ->
+      let d =
+        Dispatcher.create
+          { Dispatcher.default_config with Dispatcher.workers = 1 }
+      in
+      Fun.protect
+        ~finally:(fun () -> Dispatcher.shutdown d)
+        (fun () ->
+          for i = 0 to 199 do
+            let tgds =
+              Printf.sprintf "E%d(x,y) -> S%d(y). S%d(x) -> exists z. T%d(x,z)." i i i i
+            in
+            List.iter
+              (fun extra ->
+                let resp =
+                  Dispatcher.handle d
+                    (Json.Obj
+                       ((("id", Json.Int i) :: ("tgds", Json.String tgds) :: extra)))
+                in
+                if not (get_ok resp) then
+                  Alcotest.failf "request failed: %s" (Json.to_string resp))
+              [ [ ("op", Json.String "analyze") ];
+                [ ("op", Json.String "entail");
+                  ("goal", Json.String (Printf.sprintf "E%d(x,y) -> S%d(y)." i i))
+                ];
+                [ ("op", Json.String "chase");
+                  ("facts", Json.String (Printf.sprintf "E%d(a,b). E%d(b,c)." i i))
+                ]
+              ]
+          done);
+      let total =
+        List.fold_left (fun acc (_, c) -> acc + c.Memo.bytes) 0 (tables ())
+      in
+      check_bool
+        (Printf.sprintf "summed footprint %d within %d" total bound)
+        true (total <= bound);
+      check_bool "the warm counters see every table" true
+        ((Warm.counters ()).Memo.bytes = total);
+      List.iter
+        (fun (name, c) ->
+          if c.Memo.entries > 0 then
+            check_bool (name ^ " is weighed under the ceiling") true
+              (c.Memo.bytes > 0))
+        (tables ()))
+
 let test_memo_byte_ceiling () =
   let m : string Memo.t = Memo.create ~name:"test-lru" () in
   Memo.set_limit m ~bytes:(Some 16_384);
@@ -241,25 +304,23 @@ let fresh_sock () =
   Sys.remove path;
   path
 
-let with_server ?(server = Server.default_config) ?(max_connections = 16)
-    ?(workers = 2) f =
+let server_config ?(server = Server.default_config) ?(max_connections = 16)
+    () =
+  { Transport.dispatcher =
+      { Dispatcher.server;
+        workers = 2;
+        admission =
+          Admission.default_config ~queue_limit:server.Server.queue_limit
+      };
+    max_connections;
+    idle_timeout_s = None;
+    drain_grace_s = 2.0
+  }
+
+let with_server ?server ?max_connections f =
   let sock = fresh_sock () in
   let addr = Transport.Unix_sock sock in
-  let t =
-    Transport.start
-      { Transport.dispatcher =
-          { Dispatcher.server;
-            workers;
-            admission =
-              Admission.default_config
-                ~queue_limit:server.Server.queue_limit
-          };
-        max_connections;
-        idle_timeout_s = None;
-        drain_grace_s = 2.0
-      }
-      addr
-  in
+  let t = Transport.start (server_config ?server ?max_connections ()) addr in
   let stopped = ref false in
   let stop () =
     if not !stopped then begin
@@ -416,15 +477,7 @@ let with_idle_server ?idle_timeout_s f =
   let sock = fresh_sock () in
   let t =
     Transport.start
-      { Transport.dispatcher =
-          { Dispatcher.server = Server.default_config;
-            workers = 2;
-            admission = Admission.default_config ~queue_limit:16
-          };
-        max_connections = 16;
-        idle_timeout_s;
-        drain_grace_s = 2.0
-      }
+      { (server_config ()) with Transport.idle_timeout_s }
       (Transport.Unix_sock sock)
   in
   Fun.protect
@@ -517,10 +570,11 @@ let gen_script : string list QCheck.Gen.t =
 let arb_script =
   QCheck.make ~print:(String.concat "\n") gen_script
 
-(* C connections replay the same script concurrently; the byte streams
-   they read back must be identical.  This is what licenses sharing the
-   warm caches across connections at all: no per-connection state leaks
-   into responses. *)
+(* C connections replay the same script concurrently, and a stdio
+   session replays it once more; the byte streams they read back must be
+   identical.  This is what licenses sharing the warm caches across
+   connections at all — no per-connection state leaks into responses —
+   and what makes stdio and sockets one protocol. *)
 let prop_identical_responses =
   QCheck.Test.make ~count:12 ~name:"concurrent connections read identical bytes"
     arb_script
@@ -532,7 +586,8 @@ let prop_identical_responses =
                 Thread.create (fun () -> out.(i) <- talk addr script) ())
           in
           List.iter Thread.join threads);
-      out.(0) = out.(1) && out.(1) = out.(2))
+      let code, stdio = talk_stdio (server_config ()) script in
+      code = 0 && out.(0) = out.(1) && out.(1) = out.(2) && stdio = out.(0))
 
 let hits_of resp =
   match
@@ -559,6 +614,8 @@ let test_hit_counters_monotone () =
 
 let suite =
   [ case "memo byte ceiling evicts LRU" test_memo_byte_ceiling;
+    case "serve-scope tables share the cache ceiling"
+      test_serve_tables_bounded;
     case "admission predicts cost from static analysis"
       test_admission_predicts;
     case "admission sheds expensive work early" test_admission_sheds_by_cost;

@@ -1,13 +1,17 @@
 (* The serve layer: the JSON codec round-trips, every op dispatches to a
    well-formed terminal response, malformed input is a [bad_request] (never
    an escaped exception), transient injected faults retry and then surface
-   as the [fault] code, and the IO loop answers every accepted line exactly
-   once — shedding with [overloaded] beyond the queue limit. *)
+   as the [fault] code, and the stdio session answers every line exactly
+   once — shedding with [overloaded] beyond the admission limit, and
+   draining without waiting on a still-open stdin. *)
 
 open Tgd_engine
 open Helpers
 module Json = Tgd_serve.Json
 module Server = Tgd_serve.Server
+module Transport = Tgd_net.Transport
+module Dispatcher = Tgd_net.Dispatcher
+module Admission = Tgd_net.Admission
 
 let req src =
   match Json.of_string src with
@@ -224,9 +228,22 @@ let test_fault_then_retry_succeeds () =
      probability 2^-7; some ok must appear over 30 requests *)
   check_bool "retries rescued some requests" true (!oks > 0)
 
-(* -- the IO loop --------------------------------------------------------- *)
+(* -- the stdio session ----------------------------------------------------- *)
 
-let with_serve ?config lines =
+let stdio_config ?(server = Server.default_config)
+    ?(queue_limit = server.Server.queue_limit) () =
+  { Transport.default_config with
+    Transport.dispatcher =
+      { Dispatcher.server;
+        workers = 2;
+        admission = Admission.default_config ~queue_limit
+      };
+    drain_grace_s = 2.0
+  }
+
+(* Run a stdio session over channels backed by temp files until
+   end-of-input. *)
+let with_serve ?server ?queue_limit lines =
   let in_path = Filename.temp_file "serve_in" ".ndjson" in
   let out_path = Filename.temp_file "serve_out" ".ndjson" in
   Fun.protect
@@ -240,7 +257,9 @@ let with_serve ?config lines =
       let code =
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic; close_out_noerr out)
-          (fun () -> Server.serve ?config ~signals:false ic out)
+          (fun () ->
+            Transport.wait
+              (Transport.stdio (stdio_config ?server ?queue_limit ()) ic out))
       in
       let ic = open_in out_path in
       let rec read acc =
@@ -269,30 +288,81 @@ let test_serve_loop_answers_everything () =
         Some (Json.Int 3) ])
 
 let test_serve_loop_sheds_overload () =
-  (* a 50ms injected delay per request lets the reader outrun the handler:
-     with queue depth 2 most of the 12 requests must shed — but all 12 get
-     a terminal response *)
+  (* an admission limit of 0 sheds everything: each of the 12 lines still
+     gets its own typed terminal response, in order *)
   let lines =
     List.init 12 (fun i ->
         Printf.sprintf
           {| {"id": %d, "op": "classify", "tgds": "E(x,y) -> S(y)."} |} i)
   in
-  let config = { Server.default_config with Server.queue_limit = 2 } in
+  let code, resps = with_serve ~queue_limit:0 lines in
+  check_int "exit code" 0 code;
+  check_bool "every line answered overloaded, in order" true
+    (List.map
+       (fun r -> (Json.member "id" r, (not (get_ok r)) && error_code r = "overloaded"))
+       resps
+    = List.init 12 (fun i -> (Some (Json.Int i), true)))
+
+let test_stdio_stats_and_batch () =
   let code, resps =
-    Chaos.with_config
-      { Chaos.default_config with Chaos.delay_p = 1.0; delay_s = 0.05 }
-      (fun () -> with_serve ~config lines)
+    talk_stdio (stdio_config ())
+      [ {| {"id": 1, "op": "classify", "tgds": "E(x,y) -> S(y)."} |};
+        {| {"id": 2, "op": "batch", "requests": [{"id": "a", "op": "classify", "tgds": "E(x,y) -> S(y)."}, {"id": "b", "op": "entail", "tgds": "E(x,y) -> S(y).", "goal": "E(x,y) -> S(y)."}]} |};
+        {| {"id": 3, "op": "stats"} |}
+      ]
   in
   check_int "exit code" 0 code;
-  check_int "all requests answered" 12 (List.length resps);
-  let shed =
-    List.length
-      (List.filter
-         (fun r -> (not (get_ok r)) && error_code r = "overloaded")
-         resps)
+  match List.map req resps with
+  | [ _; batch; stats ] ->
+    (match Option.bind (Json.member "result" batch) (Json.member "responses") with
+    | Some (Json.List [ a; b ]) ->
+      check_bool "batch sub-responses ok" true (get_ok a && get_ok b)
+    | _ -> Alcotest.failf "batch without two responses: %s" (Json.to_string batch));
+    check_bool "stats counts the served requests" true
+      (Option.bind (Json.member "result" stats) (Json.member "requests_served")
+      = Some (Json.Int 3))
+  | _ -> Alcotest.fail "expected three responses"
+
+(* With stdin still open, a drain answers what was read and returns
+   within the grace: the reader blocked on stdin is not waited for. *)
+let test_stdio_drain_with_open_stdin () =
+  let config = stdio_config () in
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  let t =
+    Transport.stdio config
+      (Unix.in_channel_of_descr in_r)
+      (Unix.out_channel_of_descr out_w)
   in
-  check_bool "some requests were shed" true (shed > 0);
-  check_bool "some requests were served" true (shed < 12)
+  let oc = Unix.out_channel_of_descr in_w
+  and ic = Unix.in_channel_of_descr out_r in
+  for i = 1 to 3 do
+    Printf.fprintf oc
+      {| {"id": %d, "op": "classify", "tgds": "E(x,y) -> S(y)."} |} i;
+    output_char oc '\n'
+  done;
+  flush oc;
+  let answered = List.init 3 (fun _ -> get_ok (req (input_line ic))) in
+  check_bool "in-flight requests answered" true
+    (answered = [ true; true; true ]);
+  let t0 = Unix.gettimeofday () in
+  Transport.drain t;
+  check_int "drain exits 0" 0 (Transport.wait t);
+  check_bool "within the grace" true
+    (Unix.gettimeofday () -. t0 < config.Transport.drain_grace_s);
+  (* end-of-input releases the reader; the session then counts as
+     drained *)
+  Unix.close in_w;
+  let drained () =
+    Json.member "drained"
+      (Transport.session_counters_json (Transport.session_ends t))
+    = Some (Json.Int 1)
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (drained ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  check_bool "session ended drained" true (drained ());
+  List.iter Unix.close [ in_r; out_r; out_w ]
 
 (* -- bounded NDJSON line reader ------------------------------------------ *)
 
@@ -337,13 +407,13 @@ let test_read_line_bounded () =
   | _ -> Alcotest.fail "cap boundary misjudged"
 
 let test_serve_rejects_oversized_line () =
-  let config = { Server.default_config with Server.max_line_bytes = 128 } in
+  let server = { Server.default_config with Server.max_line_bytes = 128 } in
   let big =
     Printf.sprintf {| {"id": 1, "op": "classify", "tgds": "%s"} |}
       (String.make 200 'x')
   in
   let code, resps =
-    with_serve ~config
+    with_serve ~server
       [ big; {| {"id": 2, "op": "classify", "tgds": "E(x,y) -> S(y)."} |} ]
   in
   check_int "exit code" 0 code;
@@ -373,5 +443,8 @@ let suite =
       test_fault_exhausts_retries;
     case "retries rescue transient faults" test_fault_then_retry_succeeds;
     case "serve loop answers every line" test_serve_loop_answers_everything;
-    slow_case "serve loop sheds overload" test_serve_loop_sheds_overload
+    case "serve loop sheds overload" test_serve_loop_sheds_overload;
+    case "stdio answers stats and batch" test_stdio_stats_and_batch;
+    case "stdio drain does not wait on an open stdin"
+      test_stdio_drain_with_open_stdin
   ]
