@@ -1183,7 +1183,6 @@ let e14 ~reps () =
 (* ------------------------------------------------------------------ *)
 
 let e15 ~reps () =
-  let module Snapshot = Tgd_engine.Snapshot in
   let module Delta_log = Tgd_engine.Delta_log in
   let module Chaos = Tgd_engine.Chaos in
   let module Stats = Tgd_engine.Stats in
@@ -1206,11 +1205,9 @@ let e15 ~reps () =
         snd (time_it f))
     |> median
   in
-  (* -- checkpoint write overhead at several cadences ------------------ *)
+  (* -- delta-chain write overhead at several cadences ------------------ *)
   row "(times: median of %d cold repetitions)@." reps;
-  row "%-22s %12s %12s %10s@." "cadence" "time(s)" "snapshots" "overhead";
-  let ov_entries = Buffer.create 1024 in
-  let store name = Rewrite.snapshot_store ~dir ~name in
+  row "%-22s %12s %12s %10s@." "cadence" "time(s)" "deltas" "overhead";
   let run_with checkpoint checkpoint_every =
     ignore
       (Budget.value
@@ -1220,34 +1217,6 @@ let e15 ~reps () =
   in
   let baseline = cold (fun () -> run_with None 1) in
   row "%-22s %12.4f %12d %10s@." "none" baseline 0 "-";
-  Buffer.add_string ov_entries
-    (Printf.sprintf
-       "    {\"every\": null, \"time_s\": %.6f, \"snapshots\": 0, \
-        \"overhead_pct\": 0.0}" baseline);
-  List.iter
-    (fun every ->
-      let st = store (Printf.sprintf "e15-every%d" every) in
-      let snaps0 = (Stats.global ()).Stats.snapshots in
-      let t = cold (fun () -> run_with (Some (Rewrite.Full st)) every) in
-      Snapshot.remove st;
-      let snaps =
-        ((Stats.global ()).Stats.snapshots - snaps0) / reps
-      in
-      let pct =
-        if baseline > 0. then 100. *. (t -. baseline) /. baseline else 0.
-      in
-      row "%-22s %12.4f %12d %9.1f%%@."
-        (Printf.sprintf "every %d batches" every)
-        t snaps pct;
-      Buffer.add_string ov_entries
-        (Printf.sprintf
-           ",\n    {\"every\": %d, \"time_s\": %.6f, \"snapshots\": %d, \
-            \"overhead_pct\": %.2f}"
-           every t snaps pct))
-    [ 1; 4; 16 ];
-  (* -- incremental delta chain at the same cadences -------------------- *)
-  section "E15  delta-chain overhead (same sweep, incremental sink)";
-  row "%-22s %12s %12s %10s@." "cadence" "time(s)" "deltas" "overhead";
   let delta_entries = Buffer.create 1024 in
   let first_delta = ref true in
   List.iter
@@ -1259,7 +1228,7 @@ let e15 ~reps () =
       let t =
         cold (fun () ->
             Delta_log.remove cfg;
-            run_with (Some (Rewrite.Incremental (Rewrite.start_log cfg))) every)
+            run_with (Some (Rewrite.start_log cfg)) every)
       in
       Delta_log.remove cfg;
       let recs = ((Stats.global ()).Stats.delta_records - recs0) / reps in
@@ -1293,7 +1262,7 @@ let e15 ~reps () =
     let config =
       { base_config with
         Rewrite.budget = Budget.make ~fuel ();
-        checkpoint = Some (Rewrite.Incremental (Rewrite.start_log log_cfg));
+        checkpoint = Some (Rewrite.start_log log_cfg);
         checkpoint_every = 1
       }
     in
@@ -1397,11 +1366,10 @@ let e15 ~reps () =
   let oc = open_out "BENCH_recover.json" in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"crash_recovery\",\n  \"repetitions\": %d,\n\
-    \  \"checkpoint_overhead\": [\n%s\n  ],\n\
+    \  \"baseline_s\": %.6f,\n\
     \  \"delta_overhead\": [\n%s\n  ],\n%s,\n\
     \  \"serve_under_faults\": [\n%s\n  ]\n}\n"
-    reps
-    (Buffer.contents ov_entries)
+    reps baseline
     (Buffer.contents delta_entries)
     resume_entry
     (Buffer.contents serve_entries);

@@ -382,10 +382,9 @@ let rewrite_cmd =
     let sink =
       Option.map
         (fun cfg ->
-          Rewrite.Incremental
-            (match resumed with
-            | Some r -> Rewrite.resume_log cfg r
-            | None -> Rewrite.start_log cfg))
+          match resumed with
+          | Some r -> Rewrite.resume_log cfg r
+          | None -> Rewrite.start_log cfg)
         log
     in
     let resume = Option.map (fun r -> r.Rewrite.rz_checkpoint) resumed in

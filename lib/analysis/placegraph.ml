@@ -277,8 +277,6 @@ let analyse sigma =
 let is_super_weakly_acyclic sigma =
   match analyse sigma with Ok _ -> true | Error _ -> false
 
-let pp_place ppf p = Fmt.pf ppf "r%d/a%d[%d]" p.rule p.atom p.pos
-
 let pp_refutation ppf r =
   Fmt.pf ppf "trigger cycle %a"
     Fmt.(list ~sep:(any " -> ") int)

@@ -42,5 +42,4 @@ val analyse : Tgd.t list -> (swa_witness, swa_refutation) result
 
 val is_super_weakly_acyclic : Tgd.t list -> bool
 
-val pp_place : place Fmt.t
 val pp_refutation : swa_refutation Fmt.t

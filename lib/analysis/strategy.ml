@@ -111,8 +111,6 @@ let cost_name = function
   | Moderate -> "moderate"
   | Expensive -> "expensive"
 
-let pp_cost ppf c = Fmt.string ppf (cost_name c)
-
 let engine_name = function
   | Datalog_saturation -> "datalog-saturation"
   | Chase_to_completion -> "chase-to-completion"

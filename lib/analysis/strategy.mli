@@ -84,7 +84,6 @@ val sweep_cost : t -> cap:float -> candidates:float -> cost
 
 val max_cost : cost -> cost -> cost
 val cost_name : cost -> string
-val pp_cost : cost Fmt.t
 
 val engine_name : engine -> string
 val pp_engine : engine Fmt.t

@@ -290,13 +290,6 @@ type checkpoint = {
   chk_fired : int;
 }
 
-let snapshot_kind = "chase-state"
-
-let snapshot_store ~dir ~name =
-  Snapshot.create ~dir ~name ~kind:snapshot_kind ()
-
-(* --- incremental delta checkpoints ------------------------------------ *)
-
 let log_kind = "chase-delta"
 
 let log_config ?keep ?fsync ~dir ~name () =

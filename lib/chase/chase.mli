@@ -101,15 +101,9 @@ type checkpoint = {
   chk_rounds : int;           (** rounds completed across all slices *)
   chk_fired : int;
 }
-(** On-disk chase state, persisted through {!Tgd_engine.Snapshot}. *)
-
-val snapshot_kind : string
-(** The {!Tgd_engine.Snapshot} kind tag for legacy full-state chase
-    checkpoints (["chase-state"]).  Kept as the [Marshal] baseline the
-    benches compare the delta chain against. *)
-
-val snapshot_store : dir:string -> name:string -> Tgd_engine.Snapshot.store
-(** A full-state store of {!snapshot_kind} under [dir] (legacy path). *)
+(** On-disk chase state, persisted through the delta chain of
+    {!log_config}: a base encoding of the whole state plus one record per
+    checkpoint barrier. *)
 
 val log_kind : string
 (** The {!Tgd_engine.Delta_log} kind tag for incremental chase checkpoints

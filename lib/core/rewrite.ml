@@ -5,14 +5,9 @@ module Stats = Tgd_engine.Stats
 module Pool = Tgd_engine.Pool
 module Budget = Tgd_engine.Budget
 module Chaos = Tgd_engine.Chaos
-module Snapshot = Tgd_engine.Snapshot
 module Delta_log = Tgd_engine.Delta_log
 module Wire = Tgd_engine.Wire
 module Codec = Tgd_engine.Codec
-
-type checkpoint_sink =
-  | Full of Snapshot.store
-  | Incremental of Delta_log.t
 
 type config = {
   caps : Candidates.caps;
@@ -23,7 +18,7 @@ type config = {
   jobs : int;
   chunk : int option;
   analyze : bool;
-  checkpoint : checkpoint_sink option;
+  checkpoint : Delta_log.t option;
   checkpoint_every : int;
 }
 
@@ -39,11 +34,6 @@ let default_config =
     checkpoint = None;
     checkpoint_every = 1
   }
-
-let snapshot_kind = "rewrite-sweep"
-
-let snapshot_store ~dir ~name =
-  Snapshot.create ~dir ~name ~kind:snapshot_kind ()
 
 let log_kind = "rewrite-delta"
 
@@ -284,13 +274,12 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
      checkpoint uses: the persisted cursor always points at a committed
      boundary, so a process killed mid-batch resumes exactly where an
      in-process truncation would have.  [persist] runs on the submitting
-     domain only — workers never touch the store. *)
+     domain only — workers never touch the chain. *)
   let persisted = ref (List.length prefix) in
   let persist cp =
     match config.checkpoint with
     | None -> ()
-    | Some (Full store) -> Snapshot.save store cp
-    | Some (Incremental t) ->
+    | Some t ->
       (* append only the entries committed since the last record — the
          write cost is the batch, not the whole prefix *)
       let fresh =
@@ -424,8 +413,7 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
         Budget.Truncated { reason; partial; progress = partial.stats }
       | None ->
         (match config.checkpoint with
-        | Some (Full store) -> Snapshot.remove store
-        | Some (Incremental t) ->
+        | Some t ->
           Delta_log.close t;
           Delta_log.remove (Delta_log.config_of t)
         | None -> ());

@@ -24,14 +24,6 @@ open Tgd_syntax
 open Tgd_instance
 open Tgd_engine
 
-type checkpoint_sink =
-  | Full of Tgd_engine.Snapshot.store
-      (** legacy: marshal the whole checkpoint each save (the baseline the
-          benches compare against) *)
-  | Incremental of Tgd_engine.Delta_log.t
-      (** append only the entries committed since the last save to a delta
-          chain, compacted generationally — the affordable path *)
-
 type config = {
   caps : Candidates.caps;
   budget : Tgd_chase.Chase.budget;
@@ -60,14 +52,14 @@ type config = {
           certificate-based promotion ({!Tgd_chase.Chase.restricted}).
           The outcome is unchanged either way — the prefilter only skips
           work the chase would have rejected. *)
-  checkpoint : checkpoint_sink option;
-      (** persist the screening checkpoint through this sink at batch
+  checkpoint : Tgd_engine.Delta_log.t option;
+      (** persist the screening checkpoint to this delta chain at batch
           boundaries, on truncation, and remove it on completion — so a
-          killed sweep resumes from disk.  [None] (default): no
-          persistence.  Load the state yourself ({!load_log} for
-          {!Incremental}, [Snapshot.load] for {!Full}) and pass it as
-          [?resume]; a rejected load is an error to surface, not a fresh
-          start. *)
+          killed sweep resumes from disk.  Each save appends only the
+          entries committed since the last one; the chain is compacted
+          generationally.  [None] (default): no persistence.  Load the
+          state yourself ({!load_log}) and pass it as [?resume]; a
+          rejected load is an error to surface, not a fresh start. *)
   checkpoint_every : int;
       (** committed batches between durable saves (default 1 = every
           batch).  Larger values trade re-screening after a crash for
@@ -75,14 +67,6 @@ type config = {
 }
 
 val default_config : config
-
-val snapshot_kind : string
-(** The {!Tgd_engine.Snapshot} kind tag for sweep checkpoints
-    (["rewrite-sweep"]). *)
-
-val snapshot_store : dir:string -> name:string -> Tgd_engine.Snapshot.store
-(** A full-state store of {!snapshot_kind} under [dir], for the legacy
-    {!Full} sink. *)
 
 type outcome =
   | Rewritable of Tgd.t list

@@ -57,7 +57,6 @@ let limits ~rounds ~facts = make ~rounds ~facts ()
 let default = limits ~rounds:64 ~facts:20_000
 let unlimited = limits ~rounds:max_int ~facts:max_int
 let with_rounds b rounds = { b with max_rounds = rounds }
-let with_facts b facts = { b with max_facts = facts }
 let token b = b.cancel
 
 let trip b reason =
@@ -101,8 +100,6 @@ let map f = function
   | Complete v -> Complete (f v)
   | Truncated { reason; partial; progress } ->
     Truncated { reason; partial = f partial; progress }
-
-let is_complete = function Complete _ -> true | Truncated _ -> false
 
 let pp_outcome pp_v ppf = function
   | Complete v -> Fmt.pf ppf "@[complete:@ %a@]" pp_v v

@@ -54,9 +54,9 @@ type t = private {
 }
 (** The record is private so a budget cannot be rebuilt with [{ b with … }]
     — that would silently share (and possibly poison) [b]'s token and fuel
-    tank.  Use {!make} for a fresh budget, {!with_rounds}/{!with_facts} to
-    retune the caps of an existing one {e keeping} its token, fuel and
-    deadline (what {!Theory}'s one-round inner steps need). *)
+    tank.  Use {!make} for a fresh budget, {!with_rounds} to retune the
+    round cap of an existing one {e keeping} its token, fuel and deadline
+    (what {!Theory}'s one-round inner steps need). *)
 
 val make :
   ?rounds:int ->
@@ -82,8 +82,6 @@ val unlimited : t
 
 val with_rounds : t -> int -> t
 (** Same token, fuel, deadline and ceiling; new round cap. *)
-
-val with_facts : t -> int -> t
 
 val now : unit -> float
 (** The clock deadlines are measured against.  Monotonic for the engine's
@@ -124,6 +122,5 @@ val value : 'a outcome -> 'a
 (** The payload, complete or partial. *)
 
 val map : ('a -> 'b) -> 'a outcome -> 'b outcome
-val is_complete : 'a outcome -> bool
 
 val pp_outcome : 'a Fmt.t -> 'a outcome Fmt.t

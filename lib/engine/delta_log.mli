@@ -15,8 +15,8 @@
 
     Payloads are opaque byte strings; callers bring their own codecs
     ({!Codec}).  {!compact} folds the chain into a fresh generation's base
-    and retires generations beyond [keep] — the bounded replacement for an
-    unbounded [.prev] rotation.
+    and retires generations beyond [keep], so the files on disk stay
+    bounded however long the run.
 
     Recovery distinguishes the two ways a chain goes bad.  A record cut off
     by the end of the file is the expected signature of a crash mid-append

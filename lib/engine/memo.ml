@@ -232,8 +232,6 @@ type counters = {
   evicted : int;
 }
 
-let zero_counters = { hits = 0; misses = 0; entries = 0; bytes = 0; evicted = 0 }
-
 let combine_counters a b =
   { hits = a.hits + b.hits;
     misses = a.misses + b.misses;

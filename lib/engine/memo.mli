@@ -82,7 +82,6 @@ type counters = {
 (** Flat summary of one table's cache state, cheap to surface in a serve
     response. *)
 
-val zero_counters : counters
 val combine_counters : counters -> counters -> counters
 val counters : 'a t -> counters
 

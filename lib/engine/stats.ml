@@ -113,8 +113,6 @@ let hit_rate s =
 let mean_chunk_items s =
   if s.chunks = 0 then 0. else float_of_int s.chunk_items /. float_of_int s.chunks
 
-let total_time s = s.match_time +. s.fire_time
-
 let pp ppf s =
   Fmt.pf ppf
     "@[<v>probes: %d; scans: %d; fired: %d; rounds: %d; delta facts: %d@,\

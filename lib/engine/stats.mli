@@ -26,7 +26,7 @@ type t = {
   mutable memo_hits : int;
   mutable memo_misses : int;
   mutable restarts : int;    (** pool worker domains respawned ({!Supervisor}) *)
-  mutable snapshots : int;   (** full base snapshots written ({!Snapshot}, {!Delta_log}) *)
+  mutable snapshots : int;   (** checkpoint bases written ({!Delta_log}) *)
   mutable delta_records : int; (** incremental delta records appended ({!Delta_log}) *)
   mutable compactions : int;   (** delta chains folded into a fresh base *)
   mutable chunks : int;        (** chunks submitted to the {!Pool} *)
@@ -63,7 +63,5 @@ val hit_rate : t -> float
 val mean_chunk_items : t -> float
 (** [chunk_items / chunks] — the mean cost-sized batch granularity actually
     submitted; 0 when no parallel batch ran. *)
-
-val total_time : t -> float
 
 val pp : t Fmt.t

@@ -123,8 +123,3 @@ let health t =
     wedged = t.wedged;
     breaker_tripped = t.breaker
   }
-
-let pp_health ppf h =
-  Fmt.pf ppf "%d alive, %d deaths, %d restarts, %d wedged%s" h.alive h.deaths
-    h.restarts h.wedged
-    (if h.breaker_tripped then ", breaker tripped (degraded)" else "")

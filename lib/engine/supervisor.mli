@@ -90,4 +90,3 @@ type health = {
 }
 
 val health : t -> health
-val pp_health : health Fmt.t

@@ -21,8 +21,6 @@ let write_string buf s =
   write_varint buf (String.length s);
   Buffer.add_string buf s
 
-let write_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
-
 (* ------------------------------------------------------------------ *)
 (* Readers                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -69,12 +67,6 @@ let read_string r =
     r.pos <- r.pos + len;
     s
   end
-
-let read_bool r =
-  match read_byte r with
-  | 0 -> false
-  | 1 -> true
-  | b -> corrupt "bad bool byte 0x%02x (offset %d)" b (r.pos - 1)
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE, reflected)                                            *)

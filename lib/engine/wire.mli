@@ -25,8 +25,6 @@ val write_varint : Buffer.t -> int -> unit
 val write_string : Buffer.t -> string -> unit
 (** Varint byte length, then the raw bytes. *)
 
-val write_bool : Buffer.t -> bool -> unit
-
 (* Readers *)
 
 type reader
@@ -43,7 +41,6 @@ val pos : reader -> int
 
 val read_varint : reader -> int
 val read_string : reader -> string
-val read_bool : reader -> bool
 
 (* Integrity *)
 

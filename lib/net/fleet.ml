@@ -160,7 +160,6 @@ let alive_count t =
 
 let degraded t = alive_count t < t.quorum || Supervisor.tripped t.sup
 let respawn_count t = Atomic.get t.respawns
-let chaos_kill_count t = Atomic.get t.chaos_kills
 
 (* ---- shard child ----------------------------------------------------- *)
 

@@ -120,9 +120,6 @@ val degraded : t -> bool
 val respawn_count : t -> int
 (** Shards respawned after a death or wedge (initial spawns excluded). *)
 
-val chaos_kill_count : t -> int
-(** Shards killed by the chaos [kill_shot] family. *)
-
 val kill_shard : t -> int -> bool
 (** SIGKILL shard [i] (for failover drills); [false] if the index is out
     of range or the shard is already down.  The monitor observes the

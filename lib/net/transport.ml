@@ -37,10 +37,6 @@ module Server = Tgd_serve.Server
 
 type addr = Unix_sock of string | Tcp of string * int
 
-let pp_addr ppf = function
-  | Unix_sock path -> Fmt.pf ppf "unix:%s" path
-  | Tcp (host, port) -> Fmt.pf ppf "tcp:%s:%d" host port
-
 type config = {
   dispatcher : Dispatcher.config;
   max_connections : int;

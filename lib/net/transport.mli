@@ -21,8 +21,6 @@
 
 type addr = Unix_sock of string | Tcp of string * int
 
-val pp_addr : addr Fmt.t
-
 type config = {
   dispatcher : Dispatcher.config;
   max_connections : int;        (** concurrent connections served *)

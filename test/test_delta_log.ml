@@ -6,6 +6,7 @@
    [keep]; and a resumed chase replays to exactly the state the truncated
    run returned, at every (chunk, jobs) and through compactions. *)
 
+open Tgd_syntax
 open Tgd_instance
 open Tgd_engine
 open Helpers
@@ -73,15 +74,30 @@ let test_crc32_vector () =
 
 (* -- the basic chain contract ------------------------------------------- *)
 
+(* (base writes, delta records, compactions) so far on this domain *)
+let log_counters () =
+  let g = Stats.global () in
+  (g.Stats.snapshots, g.Stats.delta_records, g.Stats.compactions)
+
+let check_counters what (s0, d0, c0) (ds, dd, dc) =
+  let s, d, c = log_counters () in
+  check_int (what ^ ": snapshots") (s0 + ds) s;
+  check_int (what ^ ": delta records") (d0 + dd) d;
+  check_int (what ^ ": compactions") (c0 + dc) c
+
 let test_fresh_then_chain_roundtrip () =
   with_log (fun cfg ->
       (match Delta_log.load cfg with
       | Delta_log.Fresh -> ()
       | _ -> Alcotest.fail "no files yet: expected Fresh");
+      let before = log_counters () in
       let t = Delta_log.start cfg ~base:"BASE" in
+      check_counters "start" before (1, 0, 0);
       Delta_log.append t "d1";
+      check_counters "first append" before (1, 1, 0);
       Delta_log.append t "d2";
       Delta_log.append t "d3";
+      check_counters "three appends" before (1, 3, 0);
       Delta_log.close t;
       (match Delta_log.load cfg with
       | Delta_log.Resumed c ->
@@ -89,7 +105,11 @@ let test_fresh_then_chain_roundtrip () =
         Alcotest.(check (list string))
           "deltas" [ "d1"; "d2"; "d3" ] c.Delta_log.deltas;
         check_int "torn" 0 c.Delta_log.torn_bytes;
-        check_bool "clean" true (c.Delta_log.warnings = [])
+        check_bool "clean" true (c.Delta_log.warnings = []);
+        let t = Delta_log.resume cfg c in
+        Delta_log.compact t ~base:"BASEd1d2d3";
+        check_counters "compact" before (2, 3, 1);
+        Delta_log.close t
       | _ -> Alcotest.fail "expected clean Resumed");
       Delta_log.remove cfg;
       match Delta_log.load cfg with
@@ -321,6 +341,65 @@ let prop_fuzz_never_crashes =
           | Delta_log.Resumed_partial _ | Delta_log.Rejected _ ->
             true))
 
+(* -- qcheck: the payload codecs on the engine's real shapes ------------- *)
+
+let s2 = schema [ ("E", 2); ("P", 1) ]
+
+(* A constant of the given shape (0 named, 1 indexed, 2 null, 3 pair);
+   pair components are drawn from all four shapes, two levels deep. *)
+let gen_constant shape : Constant.t QCheck.Gen.t =
+ fun st ->
+  let rec go shape depth =
+    match shape with
+    | 0 -> Constant.named (Printf.sprintf "c%d" (Random.State.int st 5))
+    | 1 -> Constant.indexed (Random.State.int st 50)
+    | 2 -> Constant.null (Random.State.int st 50)
+    | _ ->
+      let sub () =
+        go (Random.State.int st (if depth > 0 then 4 else 3)) (depth - 1)
+      in
+      Constant.pair (sub ()) (sub ())
+  in
+  go shape 1
+
+let gen_instance : Instance.t QCheck.Gen.t =
+ fun st ->
+  let extra =
+    List.init (Random.State.int st 4) (fun _ -> Random.State.int st 4)
+  in
+  (* every shape at least once, then a few of random shape *)
+  let pool = List.map (fun sh -> gen_constant sh st) ([ 0; 1; 2; 3 ] @ extra) in
+  let pick () = List.nth pool (Random.State.int st (List.length pool)) in
+  let density = Random.State.float st 0.8 in
+  let facts =
+    List.concat_map
+      (fun r ->
+        List.init 6 (fun _ ->
+            Fact.make r (List.init (Relation.arity r) (fun _ -> pick ())))
+        |> List.filter (fun _ -> Random.State.float st 1.0 < density))
+      (Schema.relations s2)
+  in
+  (* the full pool as domain: it may exceed the active domain *)
+  Instance.of_facts ~dom:pool s2 facts
+
+let gen_tgd : Tgd.t QCheck.Gen.t =
+ fun st ->
+  Tgd_workload.Gen.random_tgd st s2 ~n:3 ~m:2 ~body_atoms:2 ~head_atoms:2
+
+let roundtrip equal write read v =
+  let buf = Buffer.create 256 in
+  write buf v;
+  let r = Wire.reader (Buffer.contents buf) in
+  equal v (read r) && Wire.at_end r
+
+let prop_codec_roundtrip =
+  QCheck.Test.make ~name:"codec: read ∘ write = id on instances and tgds"
+    ~count:60
+    (QCheck.make QCheck.Gen.(pair gen_instance gen_tgd))
+    (fun (i, tgd) ->
+      roundtrip Instance.equal Codec.write_instance Codec.read_instance i
+      && roundtrip Tgd.equal Codec.write_tgd Codec.read_tgd tgd)
+
 (* -- chase over the chain ----------------------------------------------- *)
 
 let chase_fixture () =
@@ -464,7 +543,7 @@ let test_rewrite_incremental_resume_equals_cold () =
               { config with
                 Rewrite.budget = Budget.make ~fuel ();
                 checkpoint =
-                  Some (Rewrite.Incremental (Rewrite.start_log cfg));
+                  Some (Rewrite.start_log cfg);
                 checkpoint_every = 1
               }
             sigma
@@ -514,6 +593,7 @@ let suite =
     case "inspect reports per-record status" test_inspect_reports_status;
     QCheck_alcotest.to_alcotest prop_chain_roundtrip;
     QCheck_alcotest.to_alcotest prop_fuzz_never_crashes;
+    QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     slow_case "chase: truncate, replay, resume = cold (jobs × chunk)"
       test_chase_truncate_resume_equals_cold;
     case "chase: fuel trip syncs the chain mid-round"
