@@ -105,10 +105,6 @@ type checkpoint = {
     {!log_config}: a base encoding of the whole state plus one record per
     checkpoint barrier. *)
 
-val log_kind : string
-(** The {!Tgd_engine.Delta_log} kind tag for incremental chase checkpoints
-    (["chase-delta"]). *)
-
 val log_config :
   ?keep:int ->
   ?fsync:bool ->
@@ -116,8 +112,8 @@ val log_config :
   name:string ->
   unit ->
   Delta_log.config
-(** An incremental checkpoint log of {!log_kind} under [dir]: a full base
-    snapshot plus per-barrier delta records, compacted generationally
+(** An incremental checkpoint log of kind ["chase-delta"] under [dir]: a
+    full base snapshot plus per-barrier delta records, compacted generationally
     ([keep] retained, default 2).  [fsync] syncs every barrier (default
     off — kill -9 does not need it). *)
 

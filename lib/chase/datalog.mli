@@ -18,11 +18,6 @@ open Tgd_syntax
 open Tgd_instance
 open Tgd_engine
 
-val default_budget : Budget.t
-(** Unlimited rounds, 1_000_000 facts, no deadline.  On a finite instance
-    the fixpoint is finite, so the fact cap only guards against
-    misconfiguration. *)
-
 val saturate :
   ?budget:Budget.t -> Tgd.t list -> Instance.t -> Instance.t Budget.outcome
 (** Least fixpoint of the rules over the instance.  [Complete] carries the

@@ -15,5 +15,3 @@ let active tgd inst = Seq.filter (fun tr -> is_active tr inst) (all tgd inst)
 let key tr =
   let h = Binding.restrict (Tgd.universal_vars tr.tgd) tr.hom in
   Fmt.str "%a|%a" Tgd.pp tr.tgd Binding.pp h
-
-let pp ppf tr = Fmt.pf ppf "⟨%a, %a⟩" Tgd.pp tr.tgd Binding.pp tr.hom

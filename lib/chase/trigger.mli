@@ -17,5 +17,3 @@ val is_active : t -> Instance.t -> bool
 val key : t -> string
 (** Stable identification of a trigger (tgd + restriction of the hom to the
     body variables), for the oblivious chase's fired-set. *)
-
-val pp : t Fmt.t

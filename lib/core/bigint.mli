@@ -8,7 +8,6 @@
 type t
 
 val zero : t
-val one : t
 val two : t
 val of_int : int -> t
 (** Raises [Invalid_argument] on negative input. *)

@@ -24,8 +24,6 @@ type caps = {
   dom_bound : int;           (** validity is checked on members up to this size *)
 }
 
-val default_caps : caps
-
 val edds_e_nm : ?caps:caps -> Schema.t -> n:int -> m:int -> Edd.t Seq.t
 (** The (capped) class [E_{n,m}] over the schema: bodies over at most [n]
     variables, disjuncts that are equalities between body variables or

@@ -32,8 +32,6 @@ type strategy = {
           elements *)
 }
 
-val default_strategy : strategy
-
 type configuration = { fixed : Constant.Set.t; sub : Instance.t }
 (** A test configuration: the pair [(F, K)].  For the plain, linear and
     guarded variants [F = adom(K)]. *)

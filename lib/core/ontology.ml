@@ -28,7 +28,6 @@ let extensional ?(name = "extensional") schema instances =
 
 let oracle ?(name = "oracle") schema mem = { name; schema; kind = Oracle mem }
 
-let name o = o.name
 let schema o = o.schema
 let axioms o = match o.kind with Axiomatic s -> Some s | _ -> None
 
@@ -75,8 +74,6 @@ let member_extending ?(max_extra = 1) o k =
 
 let restrict_mem o p =
   oracle ~name:(o.name ^ "+restriction") o.schema (fun i -> mem o i && p i)
-
-let pp ppf o = Fmt.pf ppf "%s over %a" o.name Schema.pp o.schema
 
 let of_theory ?(name = "theory") schema th =
   oracle ~name schema (fun i -> Tgd_chase.Theory.satisfies i th)

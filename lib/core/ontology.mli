@@ -26,7 +26,6 @@ val extensional : ?name:string -> Schema.t -> Instance.t list -> t
 
 val oracle : ?name:string -> Schema.t -> (Instance.t -> bool) -> t
 
-val name : t -> string
 val schema : t -> Schema.t
 
 val axioms : t -> Tgd.t list option
@@ -55,8 +54,6 @@ val member_extending :
 
 val restrict_mem : t -> (Instance.t -> bool) -> t
 (** Intersect with a predicate (handy for building oracle variations). *)
-
-val pp : t Fmt.t
 
 val of_theory : ?name:string -> Schema.t -> Tgd_chase.Theory.t -> t
 (** Membership = satisfaction of the mixed theory (tgds + egds + denial

@@ -193,6 +193,15 @@ let take n seq =
   in
   go n [] seq
 
+(* The generic engine behind both algorithms.  Screening commits per
+   batch of [4 × jobs × chunk] candidates: the budget is checked at every
+   batch boundary, a batch in flight when a live limit trips (or a
+   {!Tgd_engine.Chaos} fault fires) is discarded wholesale, and the
+   checkpoint cursor points at the last committed boundary — so partial
+   results are identical at any [jobs].  A trip during the backward check
+   or minimization also reports [Truncated], with the full screening
+   checkpoint, since answers influenced by an already-cancelled budget
+   must not be trusted. *)
 let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
   let naive = config.naive and memo = config.memo in
   let analyze = config.analyze in

@@ -84,10 +84,6 @@ type checkpoint = {
           order *)
 }
 
-val log_kind : string
-(** The {!Tgd_engine.Delta_log} kind tag for incremental sweep checkpoints
-    (["rewrite-delta"]). *)
-
 val log_config :
   ?keep:int ->
   ?fsync:bool ->
@@ -95,9 +91,9 @@ val log_config :
   name:string ->
   unit ->
   Tgd_engine.Delta_log.config
-(** An incremental checkpoint log of {!log_kind} under [dir] ([keep]
-    generations retained after compaction, default 2; [fsync] syncs every
-    barrier, default off). *)
+(** An incremental checkpoint log of kind ["rewrite-delta"] under [dir]
+    ([keep] generations retained after compaction, default 2; [fsync]
+    syncs every barrier, default off). *)
 
 type resumed = {
   rz_checkpoint : checkpoint;  (** base + verified deltas, replayed *)
@@ -152,23 +148,6 @@ val fg_to_g :
   ?config:config -> ?resume:checkpoint -> Tgd.t list -> report Budget.outcome
 (** Algorithm 2.  Raises [Invalid_argument] when the input is not a set of
     frontier-guarded tgds. *)
-
-val rewrite_into :
-  ?config:config -> ?resume:checkpoint ->
-  (Candidates.caps -> Schema.t -> n:int -> m:int -> Tgd.t Seq.t) ->
-  complete:(Candidates.caps -> Schema.t -> n:int -> m:int -> bool) ->
-  Tgd.t list -> report Budget.outcome
-(** The generic engine behind both algorithms; exposed for ablations and for
-    rewriting into other classes.
-
-    Screening commits per batch of [4 × jobs × chunk] candidates: the budget is
-    checked at every batch boundary, a batch in flight when a live limit
-    trips (or a {!Tgd_engine.Chaos} fault fires) is discarded wholesale,
-    and the checkpoint cursor points at the last committed boundary — so
-    partial results are identical at any [jobs].  A trip during the
-    backward check or minimization also reports [Truncated], with the full
-    screening checkpoint, since answers influenced by an already-cancelled
-    budget must not be trusted. *)
 
 val verify_equivalence_bounded :
   Tgd.t list -> Tgd.t list -> dom_size:int -> Instance.t option

@@ -74,6 +74,7 @@ let claim_4_6_edd ?(filter = default_filter) ~k ~i ~m () =
   | [] -> None
   | disjuncts -> Some (Edd.make ~body ~disjuncts)
 
+(* [J ⊨ ∃x̄ Φ^I_{K,m}(x̄)], given the Claim 4.6 edd δ for Φ: [J ⊭ δ]. *)
 let satisfies_existential_diagram j delta = not (Satisfaction.edd j delta)
 
 let lemma_4_3_holds ?filter ~k ~i ~m () =

@@ -26,8 +26,6 @@ type conjunct_filter = {
           (exponential in [|A_{K,ℓ}|]). *)
 }
 
-val default_filter : conjunct_filter
-
 val violated_conjuncts :
   ?filter:conjunct_filter ->
   Instance.t ->
@@ -45,10 +43,6 @@ val claim_4_6_edd :
     violated conjunction).  [None] when the head would be empty, i.e. when
     [Φ] has no negative conjunct — which by the paper's argument cannot
     happen under the assumptions of Claim 4.5. *)
-
-val satisfies_existential_diagram : Instance.t -> Edd.t -> bool
-(** [J ⊨ ∃x̄ Φ^I_{K,m}(x̄)], given the Claim 4.6 edd for [Φ]: equivalent to
-    [J ⊭ δ]. *)
 
 val lemma_4_3_holds :
   ?filter:conjunct_filter -> k:Instance.t -> i:Instance.t -> m:int -> unit ->

@@ -11,7 +11,6 @@ val tgds : Instance.t -> Tgd.t list -> bool
 
 val egd : Instance.t -> Egd.t -> bool
 val edd : Instance.t -> Edd.t -> bool
-val dependency : Instance.t -> Dependency.t -> bool
 val dependencies : Instance.t -> Dependency.t list -> bool
 
 val violating_hom : Instance.t -> Tgd.t -> Binding.t option

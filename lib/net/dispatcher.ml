@@ -2,14 +2,17 @@
 
    Connection sessions (systhreads, {!Transport}) call {!handle}
    concurrently; each admitted request is executed as a one-item batch on
-   the shared {!Tgd_engine.Pool} of supervised domains.  That reuses the
-   whole PR-5 fault ladder for free: a worker killed mid-request
+   the shared {!Tgd_engine.Pool} of supervised domains, whose FIFO queue
+   is the only waiting room.  A session submits one request and waits
+   for its response before it reads the next line, so a connection never
+   has two requests queued and cannot starve the others.  The pool reuses
+   the whole supervision ladder for free: a worker killed mid-request
    ([pool.worker] chaos site) is respawned by the supervisor and the
    request requeued; a fault surfacing at the batch join ([pool.chunk])
-   is retried here with the same backoff schedule {!Tgd_serve.Server}
-   uses for [serve.request], and only after [retries] attempts becomes a
-   typed [fault] response.  [Server.handle] itself is total, so the only
-   exceptions that can reach the join are injected ones.
+   is retried on {!Tgd_serve.Server.retrying}, the ladder [serve.request]
+   uses, and only after [retries] attempts becomes a typed [fault]
+   response.  [Server.handle] itself is total, so the only exceptions
+   that can reach the join are injected ones.
 
    Admission runs before any engine work ({!Admission}): past the queue
    limit — or past [expensive_at] for requests whose static cost
@@ -26,7 +29,6 @@
 module Json = Tgd_serve.Json
 module Server = Tgd_serve.Server
 module Pool = Tgd_engine.Pool
-module Chaos = Tgd_engine.Chaos
 
 type config = {
   server : Server.config;
@@ -44,7 +46,6 @@ let default_config =
 type t = {
   config : config;
   pool : Pool.t;
-  fairq : Fairq.t;
   depth : int Atomic.t;
   served : int Atomic.t;
   shed : int Atomic.t;
@@ -52,13 +53,8 @@ type t = {
 }
 
 let create config =
-  let workers = max 1 config.workers in
   { config;
-    pool = Pool.create ~jobs:workers ();
-    (* the fair queue is the pool's waiting room: as many grants
-       outstanding as there are worker domains, everything else parks in
-       per-connection queues and is granted round-robin *)
-    fairq = Fairq.create ~capacity:workers;
+    pool = Pool.create ~jobs:(max 1 config.workers) ();
     depth = Atomic.make 0;
     served = Atomic.make 0;
     shed = Atomic.make 0;
@@ -80,17 +76,6 @@ let stats_json t =
       ("requests_shed", Json.Int (Atomic.get t.shed));
       ("queue_depth", Json.Int (Atomic.get t.depth));
       ("workers", Json.Int (Pool.jobs t.pool));
-      ( "fair_queue",
-        Json.Obj
-          [ ("capacity", Json.Int (Fairq.capacity t.fairq));
-            ("in_flight", Json.Int (Fairq.in_flight t.fairq));
-            ("waiting", Json.Int (Fairq.waiting t.fairq));
-            ( "depths",
-              Json.Obj
-                (List.map
-                   (fun (conn, d) -> (string_of_int conn, Json.Int d))
-                   (Fairq.depths t.fairq)) )
-          ] );
       ( "pool",
         Json.Obj
           [ ("alive", Json.Int h.Tgd_engine.Supervisor.alive);
@@ -110,48 +95,13 @@ let stats_json t =
     @ List.map (fun (key, provider) -> (key, provider ())) t.extra_stats)
 
 let overloaded t ~cost ~depth req =
-  let id = Server.request_id req in
-  Json.Obj
-    [ ("id", id);
-      ("ok", Json.Bool false);
-      ( "error",
-        Json.Obj
-          [ ("code", Json.String "overloaded");
-            ( "message",
-              Json.String
-                (Printf.sprintf "queue depth %d at limit %d" depth
-                   t.config.admission.Admission.queue_limit) );
-            ( "predicted_cost",
-              Json.String (Tgd_analysis.Strategy.cost_name cost) );
-            ("queue_depth", Json.Int depth)
-          ] )
-    ]
-
-(* One request as a one-item batch on the worker pool.  [Server.handle]
-   is total, so an exception at the join is pool-level fault injection;
-   retry it on the server's schedule before conceding a [fault]. *)
-let run_on_pool t req =
-  let cfg = t.config.server in
-  let rec attempt k =
-    match
-      Pool.parallel_map t.pool ~chunk:1 (Server.handle cfg) (Seq.return req)
-    with
-    | [ resp ] -> resp
-    | _ ->
-      Server.error (Server.request_id req) "internal"
-        "worker pool returned no response"
-    | exception Chaos.Injected site when k < cfg.Server.retries ->
-      ignore site;
-      Unix.sleepf (cfg.Server.backoff_base_s *. (2. ** float_of_int k));
-      attempt (k + 1)
-    | exception Chaos.Injected site ->
-      Server.error (Server.request_id req) "fault"
-        (Printf.sprintf "injected fault at %s persisted after %d retries"
-           site cfg.Server.retries)
-    | exception exn ->
-      Server.error (Server.request_id req) "internal" (Printexc.to_string exn)
-  in
-  attempt 0
+  Server.error (Server.request_id req) "overloaded"
+    (Printf.sprintf "queue depth %d at limit %d" depth
+       t.config.admission.Admission.queue_limit)
+    ~extra:
+      [ ("predicted_cost", Json.String (Tgd_analysis.Strategy.cost_name cost));
+        ("queue_depth", Json.Int depth)
+      ]
 
 (* A [batch] request carries sub-requests that run as ONE chunked pool
    batch — the same cost-sized submission path the rewrite screener uses.
@@ -177,44 +127,29 @@ let batch_chunk t reqs =
     max 1 (min by_dispatch by_balance)
   end
 
-let run_batch t reqs =
+(* The one route onto the pool: a single request is a batch of one.
+   [Server.handle] is total, so an exception at the join is pool-level
+   fault injection; it retries on the server's ladder before every
+   request of the batch concedes a [fault]. *)
+let run_batch t ~chunk reqs =
   let cfg = t.config.server in
-  let chunk = batch_chunk t reqs in
-  let rec attempt k =
-    match
-      Pool.parallel_map t.pool ~chunk (Server.handle cfg) (List.to_seq reqs)
-    with
-    | resps -> resps
-    | exception Chaos.Injected site when k < cfg.Server.retries ->
-      ignore site;
-      Unix.sleepf (cfg.Server.backoff_base_s *. (2. ** float_of_int k));
-      attempt (k + 1)
-    | exception Chaos.Injected site ->
-      List.map
-        (fun req ->
-          Server.error (Server.request_id req) "fault"
-            (Printf.sprintf "injected fault at %s persisted after %d retries"
-               site cfg.Server.retries))
-        reqs
-    | exception exn ->
-      List.map
-        (fun req ->
-          Server.error (Server.request_id req) "internal"
-            (Printexc.to_string exn))
-        reqs
+  let answer_all code msg =
+    List.map (fun req -> Server.error (Server.request_id req) code msg) reqs
   in
-  attempt 0
+  match
+    Server.retrying cfg ~fault:(answer_all "fault") (fun () ->
+        Pool.parallel_map t.pool ~chunk (Server.handle cfg) (List.to_seq reqs))
+  with
+  | resps -> resps
+  | exception exn -> answer_all "internal" (Printexc.to_string exn)
 
 let batch_response t req =
   match Json.member "requests" req with
   | Some (Json.List subs) ->
-    let resps = run_batch t subs in
+    let resps = run_batch t ~chunk:(batch_chunk t subs) subs in
     ignore (Atomic.fetch_and_add t.served (List.length subs));
-    Json.Obj
-      [ ("id", Server.request_id req);
-        ("ok", Json.Bool true);
-        ("result", Json.Obj [ ("responses", Json.List resps) ])
-      ]
+    Server.ok (Server.request_id req)
+      (Json.Obj [ ("responses", Json.List resps) ])
   | _ ->
     Server.error (Server.request_id req) "bad_request"
       "\"batch\" needs a \"requests\" array"
@@ -230,15 +165,11 @@ let with_cache_stats req resp =
       Json.Obj (fields @ [ ("cache", Warm.counters_json (Warm.counters ())) ])
     | other -> other
 
-let handle ?(conn = -1) t req =
+let handle t req =
   match Json.member "op" req with
   | Some (Json.String "stats") ->
-    Json.Obj
-      [ ("id", Server.request_id req);
-        ("ok", Json.Bool true);
-        ("result", stats_json t)
-      ]
-  | _ -> (
+    Server.ok (Server.request_id req) (stats_json t)
+  | op -> (
     let depth = Atomic.fetch_and_add t.depth 1 in
     Fun.protect
       ~finally:(fun () -> ignore (Atomic.fetch_and_add t.depth (-1)))
@@ -247,15 +178,10 @@ let handle ?(conn = -1) t req =
         | Admission.Shed cost ->
           ignore (Atomic.fetch_and_add t.shed 1);
           overloaded t ~cost ~depth req
-        | Admission.Admit _ ->
-          (* admitted: wait for a fair-queue slot before touching the
-             pool, so pool entry rotates round-robin across connections
-             instead of first-come-first-served across whoever pipelines
-             hardest *)
-          Fairq.with_slot t.fairq ~conn (fun () ->
-              match Json.member "op" req with
-              | Some (Json.String "batch") -> batch_response t req
-              | _ ->
-                let resp = run_on_pool t req in
-                ignore (Atomic.fetch_and_add t.served 1);
-                with_cache_stats req resp)))
+        | Admission.Admit _ -> (
+          match op with
+          | Some (Json.String "batch") -> batch_response t req
+          | _ ->
+            let resp = List.hd (run_batch t ~chunk:1 [ req ]) in
+            ignore (Atomic.fetch_and_add t.served 1);
+            with_cache_stats req resp)))

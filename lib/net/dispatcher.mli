@@ -3,7 +3,8 @@
     N connection sessions call {!handle} concurrently; admitted requests
     run as one-item batches on a shared {!Tgd_engine.Pool} of [workers]
     domains, inheriting the PR-5 supervision ladder (worker respawn,
-    requeue, circuit breaker, typed faults).  {!Admission} sheds requests
+    requeue, circuit breaker, typed faults) and retrying pool-level
+    faults on {!Tgd_serve.Server.retrying}.  {!Admission} sheds requests
     ahead of the pool with typed [overloaded] responses carrying the
     predicted cost class.
 
@@ -15,18 +16,16 @@
     [k] requests returns exactly the [k] responses sequential submission
     would.  Admission predicts a batch at its dearest member's cost.
 
-    Admitted requests wait for a {!Fairq} slot before entering the pool:
-    per-connection queues granted round-robin, so a connection
-    pipelining requests back-to-back cannot starve the others.  Pass the
-    session's connection id to {!handle} to get a dedicated queue;
-    callers without one (in-process embedders, tests) share a default
-    queue.
+    Admitted requests wait in the pool's FIFO queue, the only waiting
+    room.  Fairness across connections comes from the session loop: a
+    session holds at most one request in flight, so a connection
+    pipelining requests back-to-back re-enters the queue behind everyone
+    who arrived while its last request ran.
 
     A [stats] op reports served/shed counts, pool health, chunk counters
-    (chunks submitted/stolen, items, barrier merge time), fair-queue
-    state (per-connection queue depths), and warm-cache counters; normal
-    responses stay byte-identical across connections unless the client
-    opts in with ["cache_stats": true]. *)
+    (chunks submitted/stolen, items, barrier merge time) and warm-cache
+    counters; normal responses stay byte-identical across connections
+    unless the client opts in with ["cache_stats": true]. *)
 
 type config = {
   server : Tgd_serve.Server.config;  (** per-request budgets and retries *)
@@ -43,11 +42,11 @@ type t
 val create : config -> t
 (** Spawn the worker pool.  Pair with {!shutdown}. *)
 
-val handle : ?conn:int -> t -> Tgd_serve.Json.t -> Tgd_serve.Json.t
+val handle : t -> Tgd_serve.Json.t -> Tgd_serve.Json.t
 (** One parsed request to its terminal response.  Total: never raises.
-    Safe to call from any number of threads or domains concurrently.
-    [conn] names the calling connection's fair queue (default [-1], a
-    queue shared by all anonymous callers). *)
+    Safe to call from any number of threads or domains concurrently;
+    blocks until the pool has answered, so each caller has at most one
+    request in the pool's queue. *)
 
 val add_stats : t -> string -> (unit -> Tgd_serve.Json.t) -> unit
 (** Append a provider whose value is included under [key] in every

@@ -342,17 +342,6 @@ let monitor t =
 
 (* ---- router ---------------------------------------------------------- *)
 
-let error_response req code message extra =
-  Json.Obj
-    [ ("id", Server.request_id req);
-      ("ok", Json.Bool false);
-      ( "error",
-        Json.Obj
-          (("code", Json.String code)
-          :: ("message", Json.String message)
-          :: extra) )
-    ]
-
 let status_json t =
   let h = Supervisor.health t.sup in
   let now = Unix.gettimeofday () in
@@ -440,15 +429,11 @@ let call_backend t backends i line =
 let route t backends req line =
   let server = t.config.shard.Transport.dispatcher.Dispatcher.server in
   let retries = server.Server.retries in
-  let backoff k =
-    Unix.sleepf (server.Server.backoff_base_s *. (2. ** float_of_int k))
-  in
   let unavailable why k =
     ignore (Atomic.fetch_and_add t.unavailable 1);
     Json.to_string
-      (error_response req "unavailable"
-         (Printf.sprintf "%s after %d attempts" why (k + 1))
-         [])
+      (Server.error (Server.request_id req) "unavailable"
+         (Printf.sprintf "%s after %d attempts" why (k + 1)))
   in
   let order = shard_rank ~shards:t.config.shards (request_digest req) in
   let rec attempt k skip =
@@ -461,7 +446,7 @@ let route t backends req line =
     | None ->
       if k >= retries then unavailable "no live shard" k
       else begin
-        backoff k;
+        Server.backoff server k;
         attempt (k + 1) []
       end
     | Some i -> (
@@ -471,7 +456,7 @@ let route t backends req line =
         ignore (Atomic.fetch_and_add t.failovers 1);
         if k >= retries then unavailable "shard failover exhausted" k
         else begin
-          backoff k;
+          Server.backoff server k;
           attempt (k + 1) (i :: skip)
         end)
   in
@@ -480,12 +465,7 @@ let route t backends req line =
 let answer t backends line req =
   match Option.bind (Json.member "op" req) Json.as_string with
   | Some "fleet_status" ->
-    Json.to_string
-      (Json.Obj
-         [ ("id", Server.request_id req);
-           ("ok", Json.Bool true);
-           ("result", status_json t)
-         ])
+    Json.to_string (Server.ok (Server.request_id req) (status_json t))
   | _ ->
     ignore (Atomic.fetch_and_add t.requests 1);
     let admission = t.config.shard.Transport.dispatcher.Dispatcher.admission in
@@ -497,23 +477,24 @@ let answer t backends line req =
          edge — surviving shards keep their headroom for cheap traffic *)
       ignore (Atomic.fetch_and_add t.degraded_shed 1);
       Json.to_string
-        (error_response req "overloaded"
+        (Server.error (Server.request_id req) "overloaded"
            (Printf.sprintf
               "fleet degraded (%d of %d shards live, quorum %d): expensive \
                work shed"
               (alive_count t) t.config.shards t.quorum)
-           [ ( "predicted_cost",
-               Json.String
-                 (Tgd_analysis.Strategy.cost_name
-                    Tgd_analysis.Strategy.Expensive) );
-             ("degraded", Json.Bool true)
-           ])
+           ~extra:
+             [ ( "predicted_cost",
+                 Json.String
+                   (Tgd_analysis.Strategy.cost_name
+                      Tgd_analysis.Strategy.Expensive) );
+               ("degraded", Json.Bool true)
+             ])
     end
     else route t backends req line
 
 (* The router's {!Transport} handler: per-session backend connections,
    request lines forwarded verbatim. *)
-let router t ~conn:_ =
+let router t () =
   let backends : backends = Hashtbl.create 8 in
   ignore (Atomic.fetch_and_add t.sessions 1);
   { Transport.respond = answer t backends;

@@ -141,10 +141,10 @@ type session = {
   close : unit -> unit;
 }
 
-type handler = conn:int -> session
+type handler = unit -> session
 
-let dispatch d ~conn =
-  { respond = (fun _line req -> Json.to_string (Dispatcher.handle ~conn d req));
+let dispatch d () =
+  { respond = (fun _line req -> Json.to_string (Dispatcher.handle d req));
     close = ignore
   }
 
@@ -239,7 +239,7 @@ let add_session t ?fd ic oc ~release =
     Fun.protect
       ~finally:(fun () -> locked t (fun () -> Hashtbl.remove t.conns id))
       (fun () ->
-        let s = t.handler ~conn:id in
+        let s = t.handler () in
         let reason =
           session
             ~max_line_bytes:

@@ -70,14 +70,17 @@ type session = {
       (** Release per-session resources once the session has ended. *)
 }
 
-type handler = conn:int -> session
-(** Called once per session, on the session's thread, with a connection
-    id unique within the lifecycle.  The fleet router keeps its shard
-    connections per session and forwards [line] verbatim. *)
+type handler = unit -> session
+(** Called once per session, on the session's thread.  The fleet router
+    keeps its shard connections per session and forwards [line]
+    verbatim. *)
 
 val dispatch : Dispatcher.t -> handler
-(** [Dispatcher.handle ~conn], encoded: the handler of socket and stdio
-    serving. *)
+(** {!Dispatcher.handle}, encoded: the handler of socket and stdio
+    serving.  The session answers each line before it reads the next, so
+    a connection has at most one request in the dispatcher at a time and
+    enters the pool's FIFO queue once per request — the whole of the
+    server's fairness across connections. *)
 
 (** {2 Lifecycle} *)
 

@@ -296,16 +296,40 @@ let dispatch config op req =
 let ok id result =
   Json.Obj [ ("id", id); ("ok", Json.Bool true); ("result", result) ]
 
-let error id code message =
+let error ?(extra = []) id code message =
   Json.Obj
     [ ("id", id);
       ("ok", Json.Bool false);
       ( "error",
         Json.Obj
-          [ ("code", Json.String code); ("message", Json.String message) ] )
+          (("code", Json.String code) :: ("message", Json.String message)
+          :: extra) )
     ]
 
 let request_id req = Option.value (Json.member "id" req) ~default:Json.Null
+
+(* ---- the retry ladder ---------------------------------------------- *)
+
+let backoff config k =
+  Unix.sleepf (config.backoff_base_s *. (2. ** float_of_int k))
+
+(* Transient faults (an injected one, or a typed [Fault] truncation out
+   of an engine run) get up to [retries] fresh attempts with exponential
+   backoff; everything else is deterministic and propagates at once. *)
+let retrying config ~fault f =
+  let rec attempt k =
+    match f () with
+    | v -> v
+    | exception (Chaos.Injected site | Transient site) ->
+      if k >= config.retries then
+        fault
+          (Printf.sprintf "injected fault at %s after %d attempts" site (k + 1))
+      else begin
+        backoff config k;
+        attempt (k + 1)
+      end
+  in
+  attempt 0
 
 let handle config req =
   let id = request_id req in
@@ -314,30 +338,13 @@ let handle config req =
   | Some op_j -> (
     match Json.as_string op_j with
     | None -> error id "bad_request" "\"op\" must be a string"
-    | Some op ->
-      (* Retry ladder: transient faults (the [serve.request] chaos site, or
-         a typed [Fault] truncation out of an engine run) get up to
-         [retries] fresh attempts with exponential backoff; everything
-         else is deterministic and answers immediately.  Every path ends
-         in a terminal response — the loop cannot raise. *)
-      let rec attempt k =
-        match
-          Chaos.step ~site:"serve.request";
-          dispatch config op req
-        with
-        | result -> ok id result
-        | exception Bad_request msg -> error id "bad_request" msg
-        | exception Chaos.Injected site -> retry k site
-        | exception Transient site -> retry k site
-        | exception e -> error id "internal" (Printexc.to_string e)
-      and retry k site =
-        if k >= config.retries then
-          error id "fault"
-            (Printf.sprintf "injected fault at %s after %d attempts" site
-               (k + 1))
-        else begin
-          Unix.sleepf (config.backoff_base_s *. (2. ** float_of_int k));
-          attempt (k + 1)
-        end
-      in
-      attempt 0)
+    | Some op -> (
+      (* every path ends in a terminal response — the loop cannot raise *)
+      match
+        retrying config ~fault:(error id "fault") (fun () ->
+            Chaos.step ~site:"serve.request";
+            ok id (dispatch config op req))
+      with
+      | resp -> resp
+      | exception Bad_request msg -> error id "bad_request" msg
+      | exception e -> error id "internal" (Printexc.to_string e)))

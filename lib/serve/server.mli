@@ -52,9 +52,25 @@ val request_id : Json.t -> Json.t
 (** The request's [id] field, or [Null] — echoed in every response.
     Exposed for transports layered over {!handle}. *)
 
-val error : Json.t -> string -> string -> Json.t
-(** [error id code message] — a terminal error response in the protocol's
-    shape.  Exposed for transports layered over {!handle}. *)
+val ok : Json.t -> Json.t -> Json.t
+(** [ok id result] — a success response in the protocol's shape. *)
+
+val error :
+  ?extra:(string * Json.t) list -> Json.t -> string -> string -> Json.t
+(** [error ?extra id code message] — a terminal error response in the
+    protocol's shape, with [extra] fields appended to the error object
+    after [code] and [message].  Every error response of every serving
+    surface is built here. *)
+
+val backoff : config -> int -> unit
+(** Sleep before retry [k] (from 0): [backoff_base_s *. 2{^k}]. *)
+
+val retrying : config -> fault:(string -> 'a) -> (unit -> 'a) -> 'a
+(** [retrying config ~fault f] — the one retry ladder.  Runs [f]; on a
+    transient failure ({!Tgd_engine.Chaos.Injected}, or an engine run
+    truncated by an injected fault) it sleeps {!backoff} and retries, up
+    to [retries] more attempts, then answers [fault "injected fault at
+    <site> after <n> attempts"].  Any other exception propagates. *)
 
 val analyze_memo : string Tgd_engine.Memo.t
 (** The per-process [analyze] report cache, keyed by the canonical

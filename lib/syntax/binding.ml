@@ -1,12 +1,10 @@
 type t = Constant.t Variable.Map.t
 
 let empty = Variable.Map.empty
-let is_empty = Variable.Map.is_empty
 let singleton = Variable.Map.singleton
 let of_list l = List.fold_left (fun m (v, c) -> Variable.Map.add v c m) empty l
 let to_list = Variable.Map.bindings
 let find = Variable.Map.find_opt
-let mem = Variable.Map.mem
 let add = Variable.Map.add
 
 let extend v c h =
@@ -28,12 +26,6 @@ let merge h g =
     (fun v c acc ->
       match acc with None -> None | Some m -> extend v c m)
     g (Some h)
-
-let apply_atom h a =
-  Atom.apply
-    (fun v ->
-      match find v h with Some c -> Term.const c | None -> Term.var v)
-    a
 
 let ground_atom h a =
   let exception Unbound in
@@ -62,9 +54,6 @@ let ground_atoms h atoms =
 let is_injective h =
   let range_card = Constant.Set.cardinal (range h) in
   range_card = cardinal h
-
-let compare = Variable.Map.compare Constant.compare
-let equal h g = compare h g = 0
 
 let pp ppf h =
   Fmt.pf ppf "[%a]"

@@ -7,12 +7,9 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 val singleton : Variable.t -> Constant.t -> t
 val of_list : (Variable.t * Constant.t) list -> t
-val to_list : t -> (Variable.t * Constant.t) list
 val find : Variable.t -> t -> Constant.t option
-val mem : Variable.t -> t -> bool
 val add : Variable.t -> Constant.t -> t -> t
 
 val extend : Variable.t -> Constant.t -> t -> t option
@@ -28,9 +25,6 @@ val restrict : Variable.Set.t -> t -> t
 val merge : t -> t -> t option
 (** [merge h g] combines two assignments, [None] on conflict. *)
 
-val apply_atom : t -> Atom.t -> Atom.t
-(** Replace bound variables by their constants (partial grounding). *)
-
 val ground_atom : t -> Atom.t -> Fact.t option
 (** [Some] fact when every variable of the atom is bound. *)
 
@@ -38,6 +32,4 @@ val ground_atoms : t -> Atom.t list -> Fact.t list option
 
 val is_injective : t -> bool
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : t Fmt.t

@@ -25,7 +25,6 @@ let rec compare c d =
   | Null a, Null b -> Int.compare a b
 
 let equal c d = compare c d = 0
-let hash = Hashtbl.hash
 
 let rec is_null = function
   | Null _ -> true

@@ -27,7 +27,6 @@ val null : int -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val is_null : t -> bool
 (** [is_null c] is [true] iff [c] is a labelled null or contains one (a

@@ -12,16 +12,5 @@ let make body =
 
 let body d = d.body
 
-let vars d =
-  List.fold_left
-    (fun acc a -> Variable.Set.union acc (Atom.vars a))
-    Variable.Set.empty d.body
-
-let n_universal d = Variable.Set.cardinal (vars d)
-let compare d e = List.compare Atom.compare d.body e.body
-let equal d e = compare d e = 0
-
 let pp ppf d =
   Fmt.pf ppf "%a -> ⊥" Fmt.(list ~sep:(any ", ") Atom.pp) d.body
-
-let to_string d = Fmt.str "%a" pp d

@@ -11,10 +11,5 @@ val make : Atom.t list -> t
 (** Raises [Invalid_argument] when the body is empty or carries constants. *)
 
 val body : t -> Atom.t list
-val vars : t -> Variable.Set.t
-val n_universal : t -> int
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : t Fmt.t
-val to_string : t -> string

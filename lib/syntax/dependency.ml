@@ -8,18 +8,3 @@ let as_tgd = function Tgd s -> Some s | Egd _ -> None
 let as_egd = function Egd e -> Some e | Tgd _ -> None
 let tgds l = List.filter_map as_tgd l
 let egds l = List.filter_map as_egd l
-
-let compare d e =
-  match d, e with
-  | Tgd a, Tgd b -> Tgd.compare a b
-  | Tgd _, Egd _ -> -1
-  | Egd _, Tgd _ -> 1
-  | Egd a, Egd b -> Egd.compare a b
-
-let equal d e = compare d e = 0
-
-let pp ppf = function
-  | Tgd s -> Tgd.pp ppf s
-  | Egd e -> Egd.pp ppf e
-
-let to_string d = Fmt.str "%a" pp d

@@ -7,12 +7,5 @@ type t =
 
 val tgd : Tgd.t -> t
 val egd : Egd.t -> t
-val as_tgd : t -> Tgd.t option
-val as_egd : t -> Egd.t option
 val tgds : t list -> Tgd.t list
 val egds : t list -> Egd.t list
-
-val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : t Fmt.t
-val to_string : t -> string

@@ -65,7 +65,6 @@ let m_existential d =
 let in_e_nm ~n ~m d = n_universal d <= n && m_existential d <= m
 
 let of_tgd s = make ~body:(Tgd.body s) ~disjuncts:[ Exists (Tgd.head s) ]
-let of_egd e = make ~body:(Egd.body e) ~disjuncts:[ Eq (Egd.lhs e, Egd.rhs e) ]
 
 let as_tgd d =
   match d.disjuncts with
@@ -91,32 +90,3 @@ let disjunct_dependencies d =
         try Some (`Tgd (Tgd.make ~body:d.body ~head:atoms))
         with Invalid_argument _ -> None))
     d.disjuncts
-
-let compare d e =
-  let c = List.compare Atom.compare d.body e.body in
-  if c <> 0 then c else List.compare compare_disjunct d.disjuncts e.disjuncts
-
-let equal d e = compare d e = 0
-
-let pp_disjunct bvars ppf = function
-  | Eq (y, z) -> Fmt.pf ppf "%a = %a" Variable.pp y Variable.pp z
-  | Exists atoms ->
-    let ex = Variable.Set.diff (atoms_vars atoms) bvars in
-    if Variable.Set.is_empty ex then
-      Fmt.pf ppf "%a" Fmt.(list ~sep:(any ", ") Atom.pp) atoms
-    else
-      Fmt.pf ppf "exists %a. %a"
-        Fmt.(list ~sep:(any ",") Variable.pp)
-        (Variable.Set.elements ex)
-        Fmt.(list ~sep:(any ", ") Atom.pp)
-        atoms
-
-let pp ppf d =
-  let bvars = body_vars d in
-  Fmt.pf ppf "%a -> %a"
-    Fmt.(list ~sep:(any ", ") Atom.pp)
-    d.body
-    Fmt.(list ~sep:(any " | ") (pp_disjunct bvars))
-    d.disjuncts
-
-let to_string d = Fmt.str "%a" pp d

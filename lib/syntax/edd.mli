@@ -35,7 +35,6 @@ val in_e_nm : n:int -> m:int -> t -> bool
 (** Membership in [E_{n,m}]. *)
 
 val of_tgd : Tgd.t -> t
-val of_egd : Egd.t -> t
 
 val as_tgd : t -> Tgd.t option
 (** [Some] when the edd has exactly one disjunct which is an existential
@@ -47,8 +46,3 @@ val as_egd : t -> Egd.t option
 val disjunct_dependencies : t -> [ `Tgd of Tgd.t | `Egd of Egd.t ] list
 (** The single-disjunct dependencies [σ_j = ∀x̄ (φ(x̄) → ψ_j(x̄_j))] used in
     Step 2 of the proof of Theorem 4.1. *)
-
-val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : t Fmt.t
-val to_string : t -> string

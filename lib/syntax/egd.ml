@@ -36,11 +36,7 @@ let compare e f =
     let c = Variable.compare e.lhs f.lhs in
     if c <> 0 then c else Variable.compare e.rhs f.rhs
 
-let equal e f = compare e f = 0
-
 let pp ppf e =
   Fmt.pf ppf "%a -> %a = %a"
     Fmt.(list ~sep:(any ", ") Atom.pp)
     e.body Variable.pp e.lhs Variable.pp e.rhs
-
-let to_string e = Fmt.str "%a" pp e

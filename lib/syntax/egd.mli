@@ -9,13 +9,10 @@ val make : body:Atom.t list -> Variable.t -> Variable.t -> t
 val body : t -> Atom.t list
 val lhs : t -> Variable.t
 val rhs : t -> Variable.t
-val vars : t -> Variable.Set.t
 val n_universal : t -> int
 
 val is_trivial : t -> bool
 (** [x = x]. *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : t Fmt.t
-val to_string : t -> string

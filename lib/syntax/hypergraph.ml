@@ -39,4 +39,3 @@ let rec reduce edges =
 
 let gyo_residual atoms = reduce (edges_of atoms)
 let is_acyclic atoms = gyo_residual atoms = []
-let join_tree_exists = is_acyclic

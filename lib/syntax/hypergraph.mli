@@ -12,6 +12,3 @@ val is_acyclic : Atom.t list -> bool
 val gyo_residual : Atom.t list -> Variable.Set.t list
 (** The hyperedges (as variable sets) remaining after GYO reduction — empty
     iff acyclic; otherwise the cyclic core, useful in diagnostics. *)
-
-val join_tree_exists : Atom.t list -> bool
-(** Alias of {!is_acyclic} (acyclicity ⟺ existence of a join tree). *)

@@ -14,7 +14,6 @@ let compare r s =
 
 let equal r s = compare r s = 0
 let pp ppf r = Fmt.pf ppf "%s/%d" r.name r.arity
-let to_string r = Fmt.str "%a" pp r
 
 module Ord = struct
   type nonrec t = t

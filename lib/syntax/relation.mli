@@ -15,7 +15,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val pp : t Fmt.t
-val to_string : t -> string
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

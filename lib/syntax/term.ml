@@ -5,7 +5,6 @@ type t =
 let var v = Var v
 let const c = Const c
 
-let is_var = function Var _ -> true | Const _ -> false
 let is_const = function Const _ -> true | Var _ -> false
 
 let compare t u =
@@ -15,10 +14,6 @@ let compare t u =
   | Const _, Var _ -> 1
   | Const c, Const d -> Constant.compare c d
 
-let equal t u = compare t u = 0
-
 let pp ppf = function
   | Var v -> Variable.pp ppf v
   | Const c -> Constant.pp ppf c
-
-let to_string t = Fmt.str "%a" pp t

@@ -11,11 +11,8 @@ type t =
 
 val var : Variable.t -> t
 val const : Constant.t -> t
-val is_var : t -> bool
 val is_const : t -> bool
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 
 val pp : t Fmt.t
-val to_string : t -> string

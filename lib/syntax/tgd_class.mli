@@ -14,7 +14,6 @@ val is_linear : Tgd.t -> bool
 val is_guarded : Tgd.t -> bool
 val is_frontier_guarded : Tgd.t -> bool
 
-val in_class : cls -> Tgd.t -> bool
 val all_in_class : cls -> Tgd.t list -> bool
 
 val guard : Tgd.t -> Atom.t option

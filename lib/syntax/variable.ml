@@ -7,9 +7,7 @@ let make name =
 let name v = v
 let compare = String.compare
 let equal = String.equal
-let hash = Hashtbl.hash
 let pp = Fmt.string
-let to_string v = v
 
 (* Atomic so refreshing tgds is safe from concurrent domains. *)
 let fresh_counter = Atomic.make 0

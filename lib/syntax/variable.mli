@@ -17,10 +17,8 @@ val name : t -> string
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val pp : t Fmt.t
-val to_string : t -> string
 
 val fresh : ?prefix:string -> unit -> t
 (** [fresh ()] is a variable guaranteed distinct from every variable created

@@ -305,10 +305,10 @@ let fresh_sock () =
   path
 
 let server_config ?(server = Server.default_config) ?(max_connections = 16)
-    () =
+    ?(workers = 2) () =
   { Transport.dispatcher =
       { Dispatcher.server;
-        workers = 2;
+        workers;
         admission =
           Admission.default_config ~queue_limit:server.Server.queue_limit
       };
@@ -317,10 +317,12 @@ let server_config ?(server = Server.default_config) ?(max_connections = 16)
     drain_grace_s = 2.0
   }
 
-let with_server ?server ?max_connections f =
+let with_server ?server ?max_connections ?workers f =
   let sock = fresh_sock () in
   let addr = Transport.Unix_sock sock in
-  let t = Transport.start (server_config ?server ?max_connections ()) addr in
+  let t =
+    Transport.start (server_config ?server ?max_connections ?workers ()) addr
+  in
   let stopped = ref false in
   let stop () =
     if not !stopped then begin
@@ -403,50 +405,82 @@ let test_socket_connection_limit () =
               | _ -> Alcotest.fail "over-limit connection not closed"
               | exception End_of_file -> ())))
 
-(* -- fair queueing ------------------------------------------------------- *)
+(* -- fairness across connections ------------------------------------------ *)
 
-(* One slot, three waiters: two from connection 1 queued ahead of one
-   from connection 2.  Round-robin grants alternate connections, so the
-   grant order is conn1, conn2, conn1 — plain FIFO would have served
-   both of connection 1's requests first. *)
-let test_fairq_round_robin () =
-  let module Fairq = Tgd_net.Fairq in
-  let q = Fairq.create ~capacity:1 in
-  (* hold the only slot so subsequent acquires park in order *)
-  Fairq.acquire q ~conn:0;
-  let mu = Mutex.create () in
-  let order = ref [] in
-  let worker conn tag =
-    Thread.create
-      (fun () ->
-        Fairq.with_slot q ~conn (fun () ->
-            Mutex.lock mu;
-            order := tag :: !order;
-            Mutex.unlock mu))
-      ()
+(* Connection A pipelines 16 slow chases (distinct seed facts over
+   [Families.layered_existential]) in one write, without reading, to a
+   server with one worker.  Once A's first reply is back, connection B
+   sends one request.  A session answers each line before it reads the
+   next, so B's request reaches the pool's queue ahead of A's later
+   ones: B's reply must arrive before A's 16th. *)
+let test_pipelining_cannot_starve () =
+  let n = 16 in
+  let tgds =
+    String.concat " "
+      (List.map Tgd_parse.Print.tgd
+         (Tgd_workload.Families.layered_existential ~copies:8 ~depth:6))
   in
-  (* each waiter must be parked before the next queues, or the arrival
-     order the rotation depends on is racy *)
-  let settle n =
-    let deadline = Unix.gettimeofday () +. 5. in
-    while Fairq.waiting q < n && Unix.gettimeofday () < deadline do
-      Thread.delay 0.01
-    done;
-    check_int "waiter parked" n (Fairq.waiting q)
+  let slow i =
+    let facts =
+      String.concat " "
+        (List.init 16 (fun j ->
+             Printf.sprintf "R0L0(s%d_%d, s%d_%d)." i j i (j + 1)))
+    in
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Int i);
+           ("op", Json.String "chase");
+           ("tgds", Json.String tgds);
+           ("facts", Json.String facts)
+         ])
   in
-  let t1 = worker 1 "a1" in
-  settle 1;
-  let t2 = worker 1 "a2" in
-  settle 2;
-  let t3 = worker 2 "b1" in
-  settle 3;
-  check_bool "queue depths visible" true
-    (List.assoc_opt 1 (Fairq.depths q) = Some 2
-    && List.assoc_opt 2 (Fairq.depths q) = Some 1);
-  Fairq.release q;
-  List.iter Thread.join [ t1; t2; t3 ];
-  check_bool "grants rotate across connections" true
-    (List.rev !order = [ "a1"; "b1"; "a2" ])
+  with_server ~workers:1 (fun addr ->
+      let fd_a = Loadgen.connect ~attempts:20 addr in
+      let fd_b = Loadgen.connect ~attempts:20 addr in
+      let ic_a = Unix.in_channel_of_descr fd_a
+      and oc_a = Unix.out_channel_of_descr fd_a in
+      let ic_b = Unix.in_channel_of_descr fd_b
+      and oc_b = Unix.out_channel_of_descr fd_b in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+            [ fd_a; fd_b ])
+        (fun () ->
+          (* A's replies are drained as they come, so neither side's
+             socket buffer can fill up and stall the other *)
+          let a_replies = Atomic.make 0 in
+          let a_ok = Atomic.make true in
+          let reader =
+            Thread.create
+              (fun () ->
+                for _ = 1 to n do
+                  if not (get_ok (req (input_line ic_a))) then
+                    Atomic.set a_ok false;
+                  Atomic.incr a_replies
+                done)
+              ()
+          in
+          output_string oc_a
+            (String.concat "" (List.init n (fun i -> slow i ^ "\n")));
+          flush oc_a;
+          let deadline = Unix.gettimeofday () +. 30. in
+          while Atomic.get a_replies < 1 && Unix.gettimeofday () < deadline do
+            Thread.delay 0.001
+          done;
+          output_string oc_b
+            {| {"id":99,"op":"classify","tgds":"E(x,y) -> S(y)."} |};
+          output_char oc_b '\n';
+          flush oc_b;
+          check_bool "B served" true (get_ok (req (input_line ic_b)));
+          let a_before_b = Atomic.get a_replies in
+          Thread.join reader;
+          check_int "A answered every line" n (Atomic.get a_replies);
+          check_bool "A served" true (Atomic.get a_ok);
+          check_bool
+            (Printf.sprintf "B answered after %d of A's %d replies" a_before_b
+               n)
+            true (a_before_b < n)))
 
 (* -- session-end classification ------------------------------------------ *)
 
@@ -637,8 +671,8 @@ let suite =
     case "oversized line over socket" test_socket_oversized_line;
     case "connection limit refuses with typed line"
       test_socket_connection_limit;
-    case "fair queue grants round-robin across connections"
-      test_fairq_round_robin;
+    case "pipelining connection cannot starve another"
+      test_pipelining_cannot_starve;
     case "session-end exceptions classify by type"
       test_classify_session_exn;
     slow_case "idle timeout counted as typed session end"
