@@ -1618,9 +1618,8 @@ let e16 ~quick () =
   List.iteri
     (fun idx raise_p ->
       Warm.reset ();
-      (* a fresh server per row: sustained faults can trip the pool's
-         circuit breaker, and a tripped breaker must not bleed into the
-         next row's numbers *)
+      (* a fresh server per row: one row's retries and pool traffic
+         must not bleed into the next row's numbers *)
       let r =
         with_server (fun _ ->
             Chaos.with_config

@@ -979,7 +979,7 @@ let serve_cmd =
           ~doc:"Listen on a Unix-domain socket at $(docv) instead of \
                 serving stdin/stdout.  Concurrent connections share the \
                 warm entailment and chase caches and a pool of \
-                $(b,--workers) supervised worker domains.")
+                $(b,--workers) worker domains.")
   in
   let tcp_arg =
     Arg.(

@@ -3,11 +3,10 @@
     When a configuration is installed, {!step} probabilistically injects
     delays, allocation spikes, and exceptions at the engine's instrumented
     sites — chase trigger firings ([chase.fire], [chase.naive]), pool
-    chunks ([pool.chunk]), pool workers ([pool.worker] — an injection
-    there kills the worker domain, exercising the {!Supervisor}), and the
-    serve loop ([serve.request]).  With no configuration installed (the
-    default), {!step} is a single atomic read and injects nothing;
-    production code never pays more than that.
+    chunks ([pool.chunk]), and the serve loop ([serve.request]).  With
+    no configuration installed (the default), {!step} is a single atomic
+    read and injects nothing; production code never pays more than
+    that.
 
     {b Determinism.}  Draws are a pure hash of (seed, site, shot number),
     where the shot number counts the steps of {e that site alone} — one

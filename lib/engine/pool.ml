@@ -1,4 +1,4 @@
-(* A supervised chunk-claiming domain pool built on Domain + Mutex/Condition.
+(* A chunk-claiming domain pool built on Domain + Mutex/Condition.
 
    Workers block on [nonempty] and claim chunk execs from a shared queue —
    dynamic claiming is what balances load when per-item cost varies by
@@ -9,37 +9,14 @@
    the batch joins — so counter attribution is exact and race-free without
    a single atomic counter in the hot path.
 
-   Supervision.  A monitor domain ticks the {!Supervisor} state machine:
-   a worker that dies after claiming a chunk (simulated by [Chaos.step] at
-   site [pool.worker]) requeues its untouched chunk and returns, and the
-   monitor spawns a replacement after capped exponential backoff — the
-   batch completes with the correct result despite the deaths.  A worker
-   busy longer than the (opt-in) wedge timeout is presumed stuck: its
-   in-flight chunk is abandoned with [Chaos.Injected "pool.wedged#<slot>"]
-   (failing the batch through the normal typed-fault path) and the slot is
-   respawned under a fresh generation; the stale domain recognises its
-   generation on wake-up and exits without touching anything.  Once total
-   respawns exhaust the policy's budget the circuit breaker trips: the
-   monitor rescue-drains whatever is queued (running it inline, so no join
-   can hang waiting for workers that will not come back) and subsequent
-   batches execute sequentially in the submitting domain.
+   A chunk body never escapes its exec: every exception (an injected
+   [pool.chunk] fault included) is recorded as the batch failure, so a
+   worker always returns to the queue and each chunk completes exactly
+   once.  Shutdown raises [closing]; workers finish whatever is queued,
+   exit, and are joined. *)
 
-   Exactly-once chunks.  Both the worker's completion and the monitor's
-   abandonment commit through one compare-and-set per exec, so a chunk
-   decrements its batch exactly once — a stale worker that finishes after
-   its chunk was abandoned simply loses the race and discards.
-
-   Shutdown joins only domains the supervisor vouches for: live workers
-   (they exit on [closing]) and self-died workers (already returned).
-   Wedged zombies are skipped — they exit on their own when they wake up
-   stale, and the process does not wait for them. *)
-
-type exec = {
-  run : unit -> unit;       (* chunk body + exactly-once commit *)
-  abandon : exn -> unit;    (* exactly-once failure commit, no body *)
-  owner : int;              (* slot the round-robin split aimed this chunk at *)
-  steal : unit -> unit;     (* claimed off its intended slot: count it *)
-}
+(* A queued chunk, run by a worker given its own slot (see {!make_exec}). *)
+type exec = int -> unit
 
 type counters = {
   batches : int;
@@ -54,11 +31,7 @@ type t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
   queue : exec Queue.t;
-  sup : Supervisor.t;
-  current : exec option array;           (* per slot: exec in flight *)
-  domains : unit Domain.t option array;  (* per slot: current-gen handle *)
-  joinable : bool array;                 (* false = wedged zombie, skip *)
-  mutable reported_restarts : int;       (* folded into Stats so far *)
+  mutable domains : unit Domain.t list;
   (* cumulative chunk accounting, guarded by [mutex]; surfaced by the
      serving layer's [stats] op via {!counters} *)
   mutable c_batches : int;
@@ -67,8 +40,6 @@ type t = {
   mutable c_items : int;
   mutable c_merge_s : float;
   mutable closing : bool;
-  mutable shut : bool;
-  mutable monitor : unit Domain.t option;
 }
 
 let now () = Unix.gettimeofday ()
@@ -79,160 +50,55 @@ let now () = Unix.gettimeofday ()
    path instead of deadlocking. *)
 let on_worker_key = Domain.DLS.new_key (fun () -> false)
 
-let rec worker_loop pool slot gen =
+let rec worker_loop pool slot =
   Mutex.lock pool.mutex;
-  while
-    Queue.is_empty pool.queue
-    && (not pool.closing)
-    && Supervisor.generation pool.sup slot = gen
-  do
+  while Queue.is_empty pool.queue && not pool.closing do
     Condition.wait pool.nonempty pool.mutex
   done;
-  if Supervisor.generation pool.sup slot <> gen || Queue.is_empty pool.queue
-  then Mutex.unlock pool.mutex (* stale or closing: exit *)
+  if Queue.is_empty pool.queue then Mutex.unlock pool.mutex (* closing *)
   else begin
     let exec = Queue.pop pool.queue in
-    Supervisor.note_busy pool.sup slot ~now:(now ());
-    pool.current.(slot) <- Some exec;
     Mutex.unlock pool.mutex;
-    if exec.owner >= 0 && exec.owner <> slot then exec.steal ();
-    match Chaos.step ~site:"pool.worker" with
-    | () ->
-      exec.run ();
-      Mutex.lock pool.mutex;
-      let live = Supervisor.generation pool.sup slot = gen in
-      if live then begin
-        pool.current.(slot) <- None;
-        Supervisor.note_idle pool.sup slot
-      end;
-      Mutex.unlock pool.mutex;
-      (* a stale worker was wedge-abandoned while running: its commit lost
-         the CAS above, and the slot now belongs to a newer generation *)
-      if live then worker_loop pool slot gen
-    | exception Chaos.Injected _ ->
-      (* simulated worker crash after claiming: the body never ran, so
-         requeue the untouched exec for a surviving or respawned worker,
-         record the death, and let the domain return (joinable) *)
-      Mutex.lock pool.mutex;
-      if Supervisor.generation pool.sup slot = gen then begin
-        pool.current.(slot) <- None;
-        Queue.push exec pool.queue;
-        Condition.broadcast pool.nonempty;
-        Supervisor.note_death pool.sup slot ~now:(now ())
-      end;
-      Mutex.unlock pool.mutex
+    exec slot;
+    worker_loop pool slot
   end
 
-let rec monitor_loop pool =
-  Unix.sleepf (Supervisor.policy pool.sup).Supervisor.tick_s;
-  Mutex.lock pool.mutex;
-  if pool.closing then Mutex.unlock pool.mutex
-  else begin
-    let actions = Supervisor.decide pool.sup ~now:(now ()) in
-    List.iter
-      (fun action ->
-        match (action : Supervisor.action) with
-        | Abandon slot -> (
-          match pool.current.(slot) with
-          | None -> () (* raced: the worker finished before this tick *)
-          | Some exec ->
-            pool.current.(slot) <- None;
-            pool.joinable.(slot) <- false; (* zombie: exits stale, unjoined *)
-            pool.domains.(slot) <- None;
-            Supervisor.note_wedged pool.sup slot ~now:(now ());
-            exec.abandon
-              (Chaos.Injected (Printf.sprintf "pool.wedged#%d" slot)))
-        | Respawn slot ->
-          (* reap the dead worker's returned domain, then replace it *)
-          (match pool.domains.(slot) with
-          | Some d when pool.joinable.(slot) -> Domain.join d
-          | _ -> ());
-          let gen = Supervisor.note_spawned pool.sup slot in
-          pool.joinable.(slot) <- true;
-          pool.domains.(slot) <-
-            Some
-              (Domain.spawn (fun () ->
-                   Domain.DLS.set on_worker_key true;
-                   worker_loop pool slot gen))
-        | Trip_breaker -> Supervisor.trip pool.sup)
-      actions;
-    let rescued = ref [] in
-    if Supervisor.tripped pool.sup then
-      (* degraded mode: pull queued chunks and run them here, sequentially,
-         so no join waits on workers that will not come back *)
-      while not (Queue.is_empty pool.queue) do
-        rescued := Queue.pop pool.queue :: !rescued
-      done;
-    Mutex.unlock pool.mutex;
-    List.iter (fun exec -> exec.run ()) (List.rev !rescued);
-    monitor_loop pool
-  end
-
-let create ?(policy = Supervisor.default_policy) ~jobs () =
+let create ~jobs () =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   let pool =
     { jobs;
       mutex = Mutex.create ();
       nonempty = Condition.create ();
       queue = Queue.create ();
-      sup = Supervisor.create policy ~slots:jobs;
-      current = Array.make jobs None;
-      domains = Array.make jobs None;
-      joinable = Array.make jobs true;
-      reported_restarts = 0;
+      domains = [];
       c_batches = 0;
       c_chunks = 0;
       c_stolen = 0;
       c_items = 0;
       c_merge_s = 0.;
-      closing = false;
-      shut = false;
-      monitor = None
+      closing = false
     }
   in
-  for slot = 0 to jobs - 1 do
-    pool.domains.(slot) <-
-      Some
-        (Domain.spawn (fun () ->
-             Domain.DLS.set on_worker_key true;
-             worker_loop pool slot 0))
-  done;
-  pool.monitor <- Some (Domain.spawn (fun () -> monitor_loop pool));
+  pool.domains <-
+    List.init jobs (fun slot ->
+        Domain.spawn (fun () ->
+            Domain.DLS.set on_worker_key true;
+            worker_loop pool slot));
   pool
 
 let jobs pool = pool.jobs
 
-let health pool =
-  Mutex.lock pool.mutex;
-  let h = Supervisor.health pool.sup in
-  Mutex.unlock pool.mutex;
-  h
-
 let shutdown pool =
   Mutex.lock pool.mutex;
-  if pool.shut then Mutex.unlock pool.mutex
-  else begin
-    pool.shut <- true;
-    pool.closing <- true;
-    Condition.broadcast pool.nonempty;
-    (* join only domains that will return: live workers exit on [closing],
-       self-died workers already returned; wedged zombies are skipped *)
-    let to_join =
-      List.filter_map Fun.id
-        (List.mapi
-           (fun slot d -> if pool.joinable.(slot) then d else None)
-           (Array.to_list pool.domains))
-    in
-    let monitor = pool.monitor in
-    pool.monitor <- None;
-    Array.fill pool.domains 0 (Array.length pool.domains) None;
-    Mutex.unlock pool.mutex;
-    List.iter Domain.join to_join;
-    Option.iter Domain.join monitor
-  end
+  let domains = pool.domains in
+  pool.domains <- [];
+  pool.closing <- true;
+  Condition.broadcast pool.nonempty;
+  Mutex.unlock pool.mutex;
+  List.iter Domain.join domains
 
-let with_pool ?policy ~jobs f =
-  let pool = create ?policy ~jobs () in
+let with_pool ~jobs f =
+  let pool = create ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 (* ------------------------------------------------------------------ *)
@@ -272,12 +138,8 @@ let join_batch pool batch =
   g.Stats.chunks <- g.Stats.chunks + batch.nchunks;
   g.Stats.chunks_stolen <- g.Stats.chunks_stolen + stolen;
   g.Stats.chunk_items <- g.Stats.chunk_items + batch.nitems;
-  (* and surface supervision activity since the last join *)
-  Mutex.lock pool.mutex;
-  let h = Supervisor.health pool.sup in
-  let fresh = h.Supervisor.restarts - pool.reported_restarts in
-  pool.reported_restarts <- h.Supervisor.restarts;
   let merge_s = now () -. t0 in
+  Mutex.lock pool.mutex;
   pool.c_batches <- pool.c_batches + 1;
   pool.c_chunks <- pool.c_chunks + batch.nchunks;
   pool.c_stolen <- pool.c_stolen + stolen;
@@ -285,7 +147,6 @@ let join_batch pool batch =
   pool.c_merge_s <- pool.c_merge_s +. merge_s;
   Mutex.unlock pool.mutex;
   g.Stats.merge_time <- g.Stats.merge_time +. merge_s;
-  if fresh > 0 then g.Stats.restarts <- g.Stats.restarts + fresh;
   match batch.failure with Some e -> raise e | None -> ()
 
 let counters pool =
@@ -301,45 +162,30 @@ let counters pool =
   Mutex.unlock pool.mutex;
   c
 
-(* Wrap [body], which processes one chunk, as an exec whose completion —
-   worker success, worker-caught exception, or monitor abandonment —
-   commits exactly once through [committed].  [Chaos.step] at [pool.chunk]
-   sits inside the try: an injected fault there is recorded as the batch
+(* Wrap [body], which processes one chunk, as an exec that commits its
+   outcome and Stats delta to the batch.  A worker whose slot is not
+   [owner] counts the chunk as stolen.  [Chaos.step] at [pool.chunk] sits
+   inside the try: an injected fault there is recorded as the batch
    failure and re-raised at the join, the same path any chunk exception
    takes — the batch still drains. *)
-let make_exec batch ~owner body =
-  let committed = Atomic.make false in
-  let commit outcome delta =
-    if Atomic.compare_and_set committed false true then begin
-      Mutex.lock batch.bmutex;
-      Stats.add ~into:batch.acc delta;
-      (match outcome with
-      | Ok () -> ()
-      | Error e -> if batch.failure = None then batch.failure <- Some e);
-      batch.remaining <- batch.remaining - 1;
-      if batch.remaining = 0 then Condition.broadcast batch.finished;
-      Mutex.unlock batch.bmutex
-    end
+let make_exec batch ~owner body slot =
+  if owner >= 0 && owner <> slot then Atomic.incr batch.stolen;
+  let before = Stats.copy (Stats.global ()) in
+  let outcome =
+    try
+      Chaos.step ~site:"pool.chunk";
+      Ok (body ())
+    with e -> Error e
   in
-  let run () =
-    let before = Stats.copy (Stats.global ()) in
-    let outcome =
-      try
-        Chaos.step ~site:"pool.chunk";
-        Ok (body ())
-      with e -> Error e
-    in
-    let delta = Stats.diff (Stats.copy (Stats.global ())) before in
-    commit outcome delta
-  in
-  let abandon e = commit (Error e) (Stats.create ()) in
-  { run; abandon; owner; steal = (fun () -> Atomic.incr batch.stolen) }
-
-let degraded pool =
-  Mutex.lock pool.mutex;
-  let d = Supervisor.tripped pool.sup in
-  Mutex.unlock pool.mutex;
-  d
+  let delta = Stats.diff (Stats.copy (Stats.global ())) before in
+  Mutex.lock batch.bmutex;
+  Stats.add ~into:batch.acc delta;
+  (match outcome with
+  | Ok () -> ()
+  | Error e -> if batch.failure = None then batch.failure <- Some e);
+  batch.remaining <- batch.remaining - 1;
+  if batch.remaining = 0 then Condition.broadcast batch.finished;
+  Mutex.unlock batch.bmutex
 
 let run_chunked pool ?chunk ~n body =
   let chunk =
@@ -349,38 +195,29 @@ let run_chunked pool ?chunk ~n body =
     | None -> default_chunk ~jobs:pool.jobs n
   in
   let nchunks = (n + chunk - 1) / chunk in
-  if degraded pool then
-    (* breaker tripped: sequential fallback in the submitting domain *)
-    for ci = 0 to nchunks - 1 do
-      let lo = ci * chunk in
-      let hi = min n (lo + chunk) in
-      body ~lo ~hi
-    done
-  else begin
-    let batch =
-      { bmutex = Mutex.create ();
-        finished = Condition.create ();
-        remaining = nchunks;
-        failure = None;
-        acc = Stats.create ();
-        stolen = Atomic.make 0;
-        nchunks;
-        nitems = n
-      }
-    in
-    let execs =
-      (* A steal is a chunk claimed off the slot a static round-robin split
-         would have given it — dynamic claiming rebalancing the load.  A
-         single-chunk batch has no intended placement, so it never counts. *)
-      List.init nchunks (fun ci ->
-          let lo = ci * chunk in
-          let hi = min n (lo + chunk) in
-          let owner = if nchunks = 1 then -1 else ci mod pool.jobs in
-          make_exec batch ~owner (fun () -> body ~lo ~hi))
-    in
-    submit pool execs;
-    join_batch pool batch
-  end
+  let batch =
+    { bmutex = Mutex.create ();
+      finished = Condition.create ();
+      remaining = nchunks;
+      failure = None;
+      acc = Stats.create ();
+      stolen = Atomic.make 0;
+      nchunks;
+      nitems = n
+    }
+  in
+  let execs =
+    (* A steal is a chunk claimed off the slot a static round-robin split
+       would have given it — dynamic claiming rebalancing the load.  A
+       single-chunk batch has no intended placement, so it never counts. *)
+    List.init nchunks (fun ci ->
+        let lo = ci * chunk in
+        let hi = min n (lo + chunk) in
+        let owner = if nchunks = 1 then -1 else ci mod pool.jobs in
+        make_exec batch ~owner (fun () -> body ~lo ~hi))
+  in
+  submit pool execs;
+  join_batch pool batch
 
 (* Between-item cancellation poll: one atomic read per item.  A tripped
    token makes every worker abandon the rest of its chunk; the batch still
@@ -417,25 +254,20 @@ let parallel_map pool ?chunk ?cancel f seq =
 (* Spawning a domain costs hundreds of microseconds — re-spawning a pool
    per engine phase (one chase, one screening sweep) used to swamp the
    work it parallelised.  [warm ~jobs] keeps one pool per jobs count alive
-   across calls; callers borrow it and must NOT shut it down.  A pool
-   whose circuit breaker tripped is retired (it would run everything
-   sequentially forever) and replaced by a fresh one; retired pools are
-   drained at exit together with the registry. *)
+   across calls; callers borrow it and must NOT shut it down. *)
 
 let warm_mutex = Mutex.create ()
 let warm_pools : (int, t) Hashtbl.t = Hashtbl.create 4
-let warm_retired : t list ref = ref []
 let warm_installed = ref false
 
 let warm_shutdown () =
   Mutex.lock warm_mutex;
-  let pools = Hashtbl.fold (fun _ p acc -> p :: acc) warm_pools !warm_retired in
+  let pools = Hashtbl.fold (fun _ p acc -> p :: acc) warm_pools [] in
   Hashtbl.reset warm_pools;
-  warm_retired := [];
   Mutex.unlock warm_mutex;
   List.iter shutdown pools
 
-let warm ?policy ~jobs () =
+let warm ~jobs () =
   Mutex.lock warm_mutex;
   if not !warm_installed then begin
     warm_installed := true;
@@ -443,27 +275,18 @@ let warm ?policy ~jobs () =
   end;
   let p =
     match Hashtbl.find_opt warm_pools jobs with
-    | Some p when not (degraded p) -> p
-    | prev ->
-      (* tripped (or absent): retire and respawn.  The retired pool may
-         still be borrowed by a concurrent caller, so it is only drained
-         at exit, never shut down mid-flight. *)
-      Option.iter (fun p -> warm_retired := p :: !warm_retired) prev;
-      let p = create ?policy ~jobs () in
+    | Some p -> p
+    | None ->
+      let p = create ~jobs () in
       Hashtbl.replace warm_pools jobs p;
       p
   in
   Mutex.unlock warm_mutex;
   p
 
-let with_warm ?policy ~jobs f =
+let with_warm ~jobs f =
   if jobs <= 1 || Domain.DLS.get on_worker_key then f None
-  else if Chaos.active () then
-    (* fault-injection runs keep their own ephemeral pool: chaos must be
-       able to kill workers and trip breakers without poisoning the warm
-       registry shared by every later call *)
-    with_pool ?policy ~jobs (fun p -> f (Some p))
-  else f (Some (warm ?policy ~jobs ()))
+  else f (Some (warm ~jobs ()))
 
 let parallel_find_map pool ?chunk ?cancel f seq =
   let items = Array.of_seq seq in

@@ -1,4 +1,4 @@
-(** A supervised domain pool for embarrassingly parallel screening loops.
+(** A domain pool for embarrassingly parallel screening loops.
 
     Built on plain [Domain] + [Mutex]/[Condition] (no dependencies beyond
     the OCaml 5 stdlib).  [create ~jobs] spawns [jobs] worker domains that
@@ -7,23 +7,6 @@
     balancing that matters when per-item cost varies by orders of magnitude
     (e.g. candidate tgds whose chases terminate in one round vs exhaust the
     budget).
-
-    {b Supervision.}  A monitor domain drives a {!Supervisor} state
-    machine over the workers.  A worker that {e dies} after claiming a
-    chunk (fault-injected at the [pool.worker] {!Chaos} site) requeues its
-    untouched chunk and is replaced after capped exponential backoff — the
-    batch still completes with the correct result, and the respawns are
-    counted in [Stats.restarts] (folded into the submitting domain at each
-    join) and visible via {!health}.  A worker {e wedged} (busy beyond the
-    policy's opt-in timeout) has its in-flight chunk abandoned with
-    [Chaos.Injected "pool.wedged#<slot>"] — failing the batch through the
-    normal typed-fault path — and its slot respawned under a fresh
-    generation; the stale domain exits on its own when it wakes up.  When
-    total respawns exhaust [max_restarts] the circuit breaker trips:
-    queued chunks are rescue-drained inline and subsequent batches run
-    {e sequentially} in the submitting domain (degraded mode — slower,
-    but every call still returns).  Each chunk commits exactly once
-    (compare-and-set), however many workers touched it.
 
     {b Determinism.}  All batch operations preserve input order: the result
     of [parallel_filter_map] is the same list the sequential
@@ -57,10 +40,10 @@
 
     {b Fault injection.}  Each chunk passes a {!Chaos.step} site
     ([pool.chunk]); an injected exception travels the normal failure path
-    (batch drains, re-raised at the join).  Each {e claim} passes the
-    [pool.worker] site; an injection there kills the worker domain
-    instead, exercising the supervision ladder above.  The chaos suite
-    asserts that no pool ever hangs or swallows a fault either way.
+    (batch drains, re-raised at the join).  Workers never die: every
+    chunk exception is caught and recorded, so each chunk completes
+    exactly once and the chaos suite can assert that no pool ever hangs
+    or swallows a fault.
 
     Items are processed on worker domains: the closures passed in must not
     touch non-atomic shared mutable state (the engine's own shared
@@ -68,52 +51,39 @@
 
 type t
 
-val create : ?policy:Supervisor.policy -> jobs:int -> unit -> t
-(** Spawn [jobs] worker domains ([jobs >= 1]) plus one monitor domain.
-    The submitting domain does not execute chunks itself, so total
-    parallelism is [jobs].  [policy] defaults to
-    {!Supervisor.default_policy}. *)
+val create : jobs:int -> unit -> t
+(** Spawn exactly [jobs] worker domains ([jobs >= 1]).  The submitting
+    domain does not execute chunks itself, so total parallelism is
+    [jobs]. *)
 
 val jobs : t -> int
 
-val health : t -> Supervisor.health
-(** Snapshot of the supervision state: live workers, deaths, restarts,
-    wedge abandonments, breaker state. *)
-
 val shutdown : t -> unit
-(** Stop and join the monitor and every worker the supervisor vouches
-    for (live ones exit on the closing flag; self-died ones have already
-    returned).  Wedged zombie domains are {e not} joined — they exit on
-    their own when their generation check fails — so shutdown cannot hang
-    on a dead or stuck worker.  Idempotent. *)
+(** Let the workers finish what is queued, then stop and join them.
+    Idempotent. *)
 
-val with_pool : ?policy:Supervisor.policy -> jobs:int -> (t -> 'a) -> 'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create], run, and always [shutdown] (also on exceptions). *)
 
-val warm : ?policy:Supervisor.policy -> jobs:int -> unit -> t
+val warm : jobs:int -> unit -> t
 (** A process-wide pool kept alive across calls, one per [jobs] count.
     Spawning a domain costs hundreds of microseconds, so re-creating a
     pool per engine phase used to dominate the work it parallelised;
     [warm] amortises the spawn over the whole process.  The returned pool
-    is {e borrowed}: callers must not [shutdown] it.  A warm pool whose
-    circuit breaker has tripped is transparently replaced by a fresh one
-    on the next call (the retired pool is drained at exit).  All warm
-    pools are shut down by an [at_exit] hook, or eagerly via
-    {!warm_shutdown}. *)
+    is {e borrowed}: callers must not [shutdown] it.  All warm pools are
+    shut down by an [at_exit] hook, or eagerly via {!warm_shutdown}. *)
 
 val warm_shutdown : unit -> unit
-(** Shut down every warm pool (including retired ones) and empty the
-    registry.  Safe to call repeatedly; subsequent {!warm} calls spawn
-    fresh pools. *)
+(** Shut down every warm pool and empty the registry.  Safe to call
+    repeatedly; subsequent {!warm} calls spawn fresh pools. *)
 
-val with_warm : ?policy:Supervisor.policy -> jobs:int -> (t option -> 'a) -> 'a
+val with_warm : jobs:int -> (t option -> 'a) -> 'a
 (** The standard engine entry point: run [f] with [Some pool] borrowed
     from the warm registry, or [None] when parallelism is unavailable —
     [jobs <= 1], or the calling domain is itself a pool worker (nested
-    submission would deadlock on the shared queue).  When {!Chaos.active}
-    the call falls back to an ephemeral {!with_pool} so fault injection
-    can kill workers and trip breakers without poisoning the shared warm
-    registry. *)
+    submission would deadlock on the shared queue).  Chaos runs borrow
+    the same warm pool: an injected [pool.chunk] fault fails one batch
+    and leaves the pool as it was. *)
 
 type counters = {
   batches : int;        (** batch operations joined on this pool *)

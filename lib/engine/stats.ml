@@ -6,7 +6,6 @@ type t = {
   mutable delta_facts : int;
   mutable memo_hits : int;
   mutable memo_misses : int;
-  mutable restarts : int;
   mutable snapshots : int;
   mutable delta_records : int;
   mutable compactions : int;
@@ -26,7 +25,6 @@ let create () =
     delta_facts = 0;
     memo_hits = 0;
     memo_misses = 0;
-    restarts = 0;
     snapshots = 0;
     delta_records = 0;
     compactions = 0;
@@ -46,7 +44,6 @@ let reset s =
   s.delta_facts <- 0;
   s.memo_hits <- 0;
   s.memo_misses <- 0;
-  s.restarts <- 0;
   s.snapshots <- 0;
   s.delta_records <- 0;
   s.compactions <- 0;
@@ -67,7 +64,6 @@ let add ~into s =
   into.delta_facts <- into.delta_facts + s.delta_facts;
   into.memo_hits <- into.memo_hits + s.memo_hits;
   into.memo_misses <- into.memo_misses + s.memo_misses;
-  into.restarts <- into.restarts + s.restarts;
   into.snapshots <- into.snapshots + s.snapshots;
   into.delta_records <- into.delta_records + s.delta_records;
   into.compactions <- into.compactions + s.compactions;
@@ -86,7 +82,6 @@ let diff a b =
     delta_facts = a.delta_facts - b.delta_facts;
     memo_hits = a.memo_hits - b.memo_hits;
     memo_misses = a.memo_misses - b.memo_misses;
-    restarts = a.restarts - b.restarts;
     snapshots = a.snapshots - b.snapshots;
     delta_records = a.delta_records - b.delta_records;
     compactions = a.compactions - b.compactions;
@@ -118,9 +113,9 @@ let pp ppf s =
     "@[<v>probes: %d; scans: %d; fired: %d; rounds: %d; delta facts: %d@,\
      memo: %d hits / %d misses (%.0f%% hit rate)@,\
      pool: %d chunks (%d stolen, mean %.1f items/chunk)@,\
-     recovery: %d worker restarts, %d snapshots written, %d delta records, \
+     recovery: %d snapshots written, %d delta records, \
      %d compactions@,\
      time: %.4fs match + %.4fs fire + %.4fs barrier merge@]"
     s.probes s.scans s.fired s.rounds s.delta_facts s.memo_hits s.memo_misses
     (100. *. hit_rate s) s.chunks s.chunks_stolen (mean_chunk_items s)
-    s.restarts s.snapshots s.delta_records s.compactions s.match_time s.fire_time s.merge_time
+    s.snapshots s.delta_records s.compactions s.match_time s.fire_time s.merge_time

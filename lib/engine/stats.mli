@@ -25,7 +25,6 @@ type t = {
   mutable delta_facts : int; (** total size of all deltas (new facts) *)
   mutable memo_hits : int;
   mutable memo_misses : int;
-  mutable restarts : int;    (** pool worker domains respawned ({!Supervisor}) *)
   mutable snapshots : int;   (** checkpoint bases written ({!Delta_log}) *)
   mutable delta_records : int; (** incremental delta records appended ({!Delta_log}) *)
   mutable compactions : int;   (** delta chains folded into a fresh base *)

@@ -6,14 +6,6 @@ type policy = {
   tick_s : float;
 }
 
-let default_policy =
-  { max_restarts = 16;
-    backoff_base_s = 1e-3;
-    backoff_cap_s = 0.1;
-    wedge_timeout_s = None;
-    tick_s = 2e-3
-  }
-
 type state =
   | Idle
   | Busy of float  (* since *)
@@ -21,7 +13,6 @@ type state =
 
 type slot = {
   mutable state : state;
-  mutable gen : int;
   mutable respawns : int;  (* respawns of this slot, drives its backoff *)
 }
 
@@ -37,14 +28,12 @@ type t = {
 let create policy ~slots =
   if slots < 1 then invalid_arg "Supervisor.create: slots must be >= 1";
   { policy;
-    slots = Array.init slots (fun _ -> { state = Idle; gen = 0; respawns = 0 });
+    slots = Array.init slots (fun _ -> { state = Idle; respawns = 0 });
     restarts = 0;
     deaths = 0;
     wedged = 0;
     breaker = false
   }
-
-let policy t = t.policy
 
 type action =
   | Respawn of int
@@ -82,13 +71,10 @@ let decide t ~now =
 let note_spawned t i =
   let slot = t.slots.(i) in
   slot.state <- Idle;
-  slot.gen <- slot.gen + 1;
   slot.respawns <- slot.respawns + 1;
-  t.restarts <- t.restarts + 1;
-  slot.gen
+  t.restarts <- t.restarts + 1
 
 let note_busy t i ~now = t.slots.(i).state <- Busy now
-let note_idle t i = t.slots.(i).state <- Idle
 
 let note_death t i ~now =
   let slot = t.slots.(i) in
@@ -101,7 +87,6 @@ let note_wedged t i ~now =
 
 let trip t = t.breaker <- true
 let tripped t = t.breaker
-let generation t i = t.slots.(i).gen
 
 type health = {
   alive : int;

@@ -1,74 +1,63 @@
-(** Worker-supervision state machine.
+(** Shard-supervision state machine.
 
-    Pure bookkeeping, no domains: {!Pool} owns the worker domains and a
-    monitor loop, and drives this module under its own lock — [note_*] on
-    events (a worker claimed work, went idle, died), {!decide} on every
-    monitor tick.  Keeping the policy side-effect-free makes the whole
-    restart/backoff/breaker ladder testable with synthetic clocks, no
-    domains or sleeps involved.
+    Pure bookkeeping, no processes: [Tgd_net.Fleet] forks the shard
+    processes, watches them through heartbeat pipes and [waitpid], and
+    drives this module from its monitor thread — [note_*] on events (a
+    shard was spawned, beat, died, was killed as wedged), {!decide} on
+    every monitor tick.  Keeping the policy side-effect-free makes the
+    whole restart/backoff/breaker ladder testable with synthetic clocks,
+    no processes or sleeps involved.
 
-    Per slot (one slot per worker index) the machine tracks a state
-    ([Idle] / [Busy since] / [Dead until]), a {e generation} — bumped on
-    every respawn so a stale worker that wakes up after being replaced can
-    recognise itself and exit without touching the slot — and a respawn
-    count driving capped exponential backoff.  Globally it counts deaths,
-    respawns, and wedge abandonments; once total respawns reach
-    [max_restarts], {!decide} emits [Trip_breaker] instead of another
-    [Respawn], after which the pool runs in degraded sequential mode.
+    Per slot (one slot per shard index) the machine tracks a state
+    ([Idle] / [Busy since] / [Dead until]) and a respawn count driving
+    capped exponential backoff.  Globally it counts deaths, respawns, and
+    wedge kills; once total respawns reach [max_restarts], {!decide}
+    emits [Trip_breaker] instead of another [Respawn], after which the
+    fleet runs degraded.
 
-    Wedge detection is opt-in ([wedge_timeout_s]): a slot [Busy] longer
-    than the timeout yields [Abandon] — the pool fails that worker's
-    in-flight chunk with [Chaos.Injected "pool.wedged#<slot>"] (so the
-    fault surfaces through the usual typed [Truncated (Fault _)] path) and
-    reports {!note_wedged}, which schedules a replacement like any other
-    death.  The timeout must be much larger than an honest chunk. *)
+    Wedge detection is opt-in ([wedge_timeout_s]): a slot whose last
+    heartbeat ({!note_busy}) is older than the timeout yields [Abandon] —
+    the fleet SIGKILLs that shard and reports {!note_wedged}, which
+    schedules a replacement like any other death.  The timeout must be
+    much larger than the heartbeat period. *)
 
 type policy = {
   max_restarts : int;  (** total respawns before the breaker trips *)
   backoff_base_s : float;  (** first respawn delay for a slot *)
   backoff_cap_s : float;  (** backoff doubles per respawn up to this cap *)
-  wedge_timeout_s : float option;  (** busy longer than this = wedged *)
+  wedge_timeout_s : float option;  (** silent longer than this = wedged *)
   tick_s : float;  (** monitor polling interval *)
 }
-
-val default_policy : policy
-(** [max_restarts = 16]; backoff 1ms doubling, capped at 100ms; wedge
-    detection off; 2ms ticks. *)
 
 type t
 
 val create : policy -> slots:int -> t
-(** All slots start alive, idle, generation 0.  Not thread-safe on its
-    own — the caller serializes access (the pool uses its queue lock). *)
-
-val policy : t -> policy
+(** All slots start alive and idle.  Not thread-safe on its own — the
+    caller serializes access. *)
 
 type action =
   | Respawn of int  (** slot's backoff expired: spawn a replacement *)
-  | Abandon of int  (** slot is wedged: fail its chunk, then report
+  | Abandon of int  (** slot is wedged: kill it, then report
                         {!note_wedged} *)
-  | Trip_breaker  (** restart budget exhausted: call {!trip} and fall
-                      back to sequential execution *)
+  | Trip_breaker  (** restart budget exhausted: call {!trip} and stop
+                      respawning *)
 
 val decide : t -> now:float -> action list
 (** What the monitor should do now.  Pure — performing an action must be
     reported back via {!note_spawned} / {!note_wedged} / {!trip}.
     [Trip_breaker] appears at most once and suppresses [Respawn]s; after
-    the breaker has tripped only [Abandon]s are emitted (wedged chunks
-    must still fail so joins never hang). *)
+    the breaker has tripped only [Abandon]s are emitted (wedged shards
+    must still be killed). *)
 
-val note_spawned : t -> int -> int
-(** A replacement was spawned for the slot: mark it idle, count the
-    restart, and return the slot's new generation. *)
+val note_spawned : t -> int -> unit
+(** A process was spawned for the slot: mark it idle and count the
+    restart. *)
 
 val note_busy : t -> int -> now:float -> unit
-(** The slot's worker claimed a chunk (heartbeat). *)
-
-val note_idle : t -> int -> unit
-(** The slot's worker finished its chunk and is back on the queue. *)
+(** The slot's shard showed a sign of life (heartbeat). *)
 
 val note_death : t -> int -> now:float -> unit
-(** The slot's worker died; schedules a respawn after the slot's current
+(** The slot's shard died; schedules a respawn after the slot's current
     backoff delay. *)
 
 val note_wedged : t -> int -> now:float -> unit
@@ -77,15 +66,11 @@ val note_wedged : t -> int -> now:float -> unit
 val trip : t -> unit
 val tripped : t -> bool
 
-val generation : t -> int -> int
-(** Current generation of the slot; a worker holding an older generation
-    is stale and must exit without touching the slot. *)
-
 type health = {
-  alive : int;  (** slots with a live worker *)
-  deaths : int;  (** worker deaths observed (incl. wedges) *)
-  restarts : int;  (** replacements spawned *)
-  wedged : int;  (** in-flight chunks abandoned as wedged *)
+  alive : int;  (** slots with a live shard *)
+  deaths : int;  (** shard deaths observed (incl. wedges) *)
+  restarts : int;  (** spawns reported via {!note_spawned} *)
+  wedged : int;  (** shards killed as wedged *)
   breaker_tripped : bool;
 }
 

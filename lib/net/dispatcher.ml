@@ -1,18 +1,16 @@
-(* Request dispatcher: N connections, M supervised workers.
+(* Request dispatcher: N connections, M worker domains.
 
    Connection sessions (systhreads, {!Transport}) call {!handle}
    concurrently; each admitted request is executed as a one-item batch on
-   the shared {!Tgd_engine.Pool} of supervised domains, whose FIFO queue
-   is the only waiting room.  A session submits one request and waits
-   for its response before it reads the next line, so a connection never
-   has two requests queued and cannot starve the others.  The pool reuses
-   the whole supervision ladder for free: a worker killed mid-request
-   ([pool.worker] chaos site) is respawned by the supervisor and the
-   request requeued; a fault surfacing at the batch join ([pool.chunk])
-   is retried on {!Tgd_serve.Server.retrying}, the ladder [serve.request]
-   uses, and only after [retries] attempts becomes a typed [fault]
-   response.  [Server.handle] itself is total, so the only exceptions
-   that can reach the join are injected ones.
+   the shared {!Tgd_engine.Pool}, whose FIFO queue is the only waiting
+   room.  A session submits one request and waits for its response
+   before it reads the next line, so a connection never has two requests
+   queued and cannot starve the others.  A fault surfacing at the batch
+   join ([pool.chunk] chaos site) is retried on
+   {!Tgd_serve.Server.retrying}, the ladder [serve.request] uses, and
+   only after [retries] attempts becomes a typed [fault] response.
+   [Server.handle] itself is total, so the only exceptions that can
+   reach the join are injected ones.
 
    Admission runs before any engine work ({!Admission}): past the queue
    limit — or past [expensive_at] for requests whose static cost
@@ -69,7 +67,6 @@ let add_stats t key provider =
   t.extra_stats <- t.extra_stats @ [ (key, provider) ]
 
 let stats_json t =
-  let h = Pool.health t.pool in
   let c = Pool.counters t.pool in
   Json.Obj
     ([ ("requests_served", Json.Int (Atomic.get t.served));
@@ -78,12 +75,7 @@ let stats_json t =
       ("workers", Json.Int (Pool.jobs t.pool));
       ( "pool",
         Json.Obj
-          [ ("alive", Json.Int h.Tgd_engine.Supervisor.alive);
-            ("deaths", Json.Int h.Tgd_engine.Supervisor.deaths);
-            ("restarts", Json.Int h.Tgd_engine.Supervisor.restarts);
-            ("wedged", Json.Int h.Tgd_engine.Supervisor.wedged);
-            ( "breaker_tripped",
-              Json.Bool h.Tgd_engine.Supervisor.breaker_tripped );
+          [ ("alive", Json.Int (Pool.jobs t.pool));
             ("batches", Json.Int c.Pool.batches);
             ("chunks", Json.Int c.Pool.chunks);
             ("chunks_stolen", Json.Int c.Pool.chunks_stolen);

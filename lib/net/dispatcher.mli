@@ -1,10 +1,9 @@
-(** Concurrent request dispatcher over the supervised worker pool.
+(** Concurrent request dispatcher over the worker pool.
 
     N connection sessions call {!handle} concurrently; admitted requests
     run as one-item batches on a shared {!Tgd_engine.Pool} of [workers]
-    domains, inheriting the PR-5 supervision ladder (worker respawn,
-    requeue, circuit breaker, typed faults) and retrying pool-level
-    faults on {!Tgd_serve.Server.retrying}.  {!Admission} sheds requests
+    domains, retrying pool-level faults on {!Tgd_serve.Server.retrying}
+    before conceding a typed [fault].  {!Admission} sheds requests
     ahead of the pool with typed [overloaded] responses carrying the
     predicted cost class.
 
@@ -22,7 +21,7 @@
     pipelining requests back-to-back re-enters the queue behind everyone
     who arrived while its last request ran.
 
-    A [stats] op reports served/shed counts, pool health, chunk counters
+    A [stats] op reports served/shed counts, live workers, chunk counters
     (chunks submitted/stolen, items, barrier merge time) and warm-cache
     counters; normal responses stay byte-identical across connections
     unless the client opts in with ["cache_stats": true]. *)

@@ -220,7 +220,7 @@ let spawn_shard t i =
     sh.pid <- pid;
     sh.hb <- Some r;
     sh.last_beat <- Unix.gettimeofday ());
-  ignore (Supervisor.note_spawned t.sup i);
+  Supervisor.note_spawned t.sup i;
   Supervisor.note_busy t.sup i ~now:(Unix.gettimeofday ())
 
 let release_beat sh =

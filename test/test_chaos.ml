@@ -65,6 +65,24 @@ let test_parallel_chase_fault_typed () =
   let clean = Chase.restricted ~jobs:4 sigma_tc chain in
   check_bool "pool usable after fault" true (Chase.is_model clean)
 
+let test_chaos_uses_warm_pool () =
+  (* chaos runs borrow the shared warm pool: a [pool.chunk] fault fails
+     the batch it hits and leaves the pool as it was *)
+  let chunks () = (Pool.counters (Pool.warm ~jobs:4 ())).Pool.chunks in
+  let pool = Pool.warm ~jobs:4 () in
+  let c0 = chunks () in
+  let r =
+    Chaos.with_config always_raise (fun () ->
+        Chase.restricted ~jobs:4 sigma_tc chain)
+  in
+  ignore (fault_site r);
+  let c1 = chunks () in
+  check_bool "the faulted chase ran on the warm pool" true (c1 > c0);
+  check_bool "the warm pool was kept" true (Pool.warm ~jobs:4 () == pool);
+  let clean = Chase.restricted ~jobs:4 sigma_tc chain in
+  check_bool "the same pool completes a clean chase" true
+    (Chase.is_model clean && chunks () > c1)
+
 let test_pool_drains_and_reraises () =
   Pool.with_pool ~jobs:3 (fun pool ->
       (match
@@ -228,6 +246,7 @@ let suite =
   [ case "chase fault is a typed trip" test_chase_fault_typed;
     case "naive chase fault is a typed trip" test_naive_chase_fault_typed;
     case "parallel chase fault is a typed trip" test_parallel_chase_fault_typed;
+    case "chaos runs use the warm pool" test_chaos_uses_warm_pool;
     case "pool drains and re-raises" test_pool_drains_and_reraises;
     case "rewrite sweep fault is a typed trip" test_rewrite_fault_typed;
     case "delays and allocs preserve results" test_perturbation_preserves_results;
