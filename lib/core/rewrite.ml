@@ -133,7 +133,7 @@ let load_log cfg =
              rz_chain = chain;
              rz_warnings = chain.Delta_log.warnings
            })
-    | exception (Wire.Corrupt m | Invalid_argument m) ->
+    | exception Wire.Corrupt m ->
       Error
         [ Printf.sprintf "%s: undecodable checkpoint payload (%s)"
             cfg.Delta_log.name m

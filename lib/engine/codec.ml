@@ -1,6 +1,19 @@
 open Tgd_syntax
 open Tgd_instance
 
+(* Decoded bytes can break a smart constructor's invariant (an empty name,
+   clashing arities, a constant in a tgd); that is corrupt input too. *)
+let valid f x = try f x with Invalid_argument m -> raise (Wire.Corrupt m)
+
+(* Every constant and term takes at least one byte, so a decoded arity
+   beyond the bytes left is corrupt — checked before allocating for it. *)
+let check_arity r rel =
+  if Relation.arity rel > Wire.remaining r then
+    raise
+      (Wire.Corrupt
+         (Printf.sprintf "arity %d exceeds remaining input (offset %d)"
+            (Relation.arity rel) (Wire.pos r)))
+
 (* ------------------------------------------------------------------ *)
 (* Constants                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -42,7 +55,7 @@ let write_relation buf rel =
 let read_relation r =
   let name = Wire.read_string r in
   let arity = Wire.read_varint r in
-  Relation.make name arity
+  valid (Relation.make name) arity
 
 let write_schema buf schema =
   let rels = Schema.relations schema in
@@ -51,7 +64,7 @@ let write_schema buf schema =
 
 let read_schema r =
   let n = Wire.read_varint r in
-  Schema.make (List.init n (fun _ -> read_relation r))
+  valid Schema.make (List.init n (fun _ -> read_relation r))
 
 (* ------------------------------------------------------------------ *)
 (* Facts relative to a schema                                          *)
@@ -88,6 +101,7 @@ let read_fact rr r =
            (Printf.sprintf "relation index %d out of range (%d relations)" i
               (Array.length rr)))
   in
+  check_arity r rel;
   Fact.make_arr rel (Array.init (Relation.arity rel) (fun _ -> read_constant r))
 
 let write_facts w buf facts =
@@ -119,7 +133,9 @@ let read_instance r =
     List.filter (fun f -> not (Schema.mem schema (Fact.rel f))) facts
     |> List.map Fact.rel
   in
-  let schema = if extras = [] then schema else Schema.extend schema extras in
+  let schema =
+    if extras = [] then schema else valid (Schema.extend schema) extras
+  in
   Instance.of_facts ~dom schema facts
 
 (* ------------------------------------------------------------------ *)
@@ -136,7 +152,7 @@ let write_term buf = function
 
 let read_term r =
   match Wire.read_varint r with
-  | 0 -> Term.var (Variable.make (Wire.read_string r))
+  | 0 -> Term.var (valid Variable.make (Wire.read_string r))
   | 1 -> Term.const (read_constant r)
   | t -> raise (Wire.Corrupt (Printf.sprintf "bad term tag %d" t))
 
@@ -146,6 +162,7 @@ let write_atom buf a =
 
 let read_atom r =
   let rel = read_relation r in
+  check_arity r rel;
   Atom.make_arr rel (Array.init (Relation.arity rel) (fun _ -> read_term r))
 
 let write_atoms buf atoms =
@@ -163,4 +180,4 @@ let write_tgd buf tgd =
 let read_tgd r =
   let body = read_atoms r in
   let head = read_atoms r in
-  Tgd.make ~body ~head
+  valid (fun head -> Tgd.make ~body ~head) head

@@ -3,10 +3,11 @@
     Hand-rolled encoders/decoders over {!Wire} for the syntax and instance
     types that checkpoints persist — no [Marshal] anywhere, so payloads are
     compact, versionable, and safe to decode from untrusted bytes: every
-    decoder raises {!Wire.Corrupt} (or [Invalid_argument] from a smart
-    constructor) on malformed input rather than crashing or fabricating
-    values, and CRC framing upstream ({!Delta_log}) makes either outcome a
-    typed rejection.
+    decoder is total — on malformed input it raises {!Wire.Corrupt} (a
+    smart constructor's [Invalid_argument] is mapped to it, and no count
+    read from the input sizes an allocation past the bytes left) rather
+    than crashing or fabricating values, and CRC framing upstream
+    ({!Delta_log}) makes that a typed rejection.
 
     Encodings are deterministic: instances serialize their facts in
     [Instance.fact_list] (sorted) order, so equal states encode to equal

@@ -9,44 +9,30 @@ type entry = { fact : Fact.t; round : int }
    newer entries. *)
 type bucket = { mutable arr : entry array; mutable size : int }
 
-(* One physical store: (relation, position, constant)-keyed buckets,
-   per-relation buckets, and a stamp table. *)
-type layer = {
+(* (relation, position, constant)-keyed buckets, per-relation buckets and
+   a stamp table, shared by every [with_stats] view; [pending] holds the
+   facts added since the last [commit], newest first.  Inserts happen only
+   in the engine's sequential fire phase, never while match tasks probe. *)
+type t = {
   by_key : (Relation.t * int * Constant.t, bucket) Hashtbl.t;
   by_rel : (Relation.t, bucket) Hashtbl.t;
   stamps : (Fact.t, int) Hashtbl.t;
-  mutable pending : entry list; (* newest first; used only on the delta *)
+  pending : Fact.t list ref;
+  stats : Stats.t;
 }
 
-(* Two layers: [base] holds every committed round and is immutable during
-   a match phase (pool workers probe its bucket arrays without any
-   concurrent resize); [add] lands in [delta], and [commit] folds the
-   delta into the base at the round barrier, in insertion order, in
-   O(|delta|) — also handing back the per-relation grouping the next
-   round's pivot tasks need, so the saturation loop never rebuilds it. *)
-type t = { base : layer; delta : layer; stats : Stats.t }
-
-let layer () =
+let create ?(stats = Stats.create ()) () =
   { by_key = Hashtbl.create 256;
     by_rel = Hashtbl.create 16;
     stamps = Hashtbl.create 256;
-    pending = []
+    pending = ref [];
+    stats
   }
 
-let create ?(stats = Stats.create ()) () =
-  { base = layer (); delta = layer (); stats }
-
 let with_stats idx stats = { idx with stats }
-
-let mem idx f = Hashtbl.mem idx.base.stamps f || Hashtbl.mem idx.delta.stamps f
-
-let round_of idx f =
-  match Hashtbl.find_opt idx.base.stamps f with
-  | Some _ as r -> r
-  | None -> Hashtbl.find_opt idx.delta.stamps f
-
-let fact_count idx =
-  Hashtbl.length idx.base.stamps + Hashtbl.length idx.delta.stamps
+let mem idx f = Hashtbl.mem idx.stamps f
+let round_of idx f = Hashtbl.find_opt idx.stamps f
+let fact_count idx = Hashtbl.length idx.stamps
 
 let bucket_push b e =
   let cap = Array.length b.arr in
@@ -63,39 +49,31 @@ let push tbl key e =
   | Some b -> bucket_push b e
   | None -> Hashtbl.replace tbl key { arr = Array.make 4 e; size = 1 }
 
-let layer_add layer e =
-  Hashtbl.replace layer.stamps e.fact e.round;
-  let rel = Fact.rel e.fact in
-  push layer.by_rel rel e;
-  Array.iteri
-    (fun pos c -> push layer.by_key (rel, pos, c) e)
-    (Fact.tuple_arr e.fact)
-
 let add idx ~round f =
   if mem idx f then false
   else begin
     let e = { fact = f; round } in
-    layer_add idx.delta e;
-    idx.delta.pending <- e :: idx.delta.pending;
+    Hashtbl.replace idx.stamps f round;
+    let rel = Fact.rel f in
+    push idx.by_rel rel e;
+    Array.iteri (fun pos c -> push idx.by_key (rel, pos, c) e) (Fact.tuple_arr f);
+    idx.pending := f :: !(idx.pending);
     true
   end
 
 let commit idx =
-  let d = idx.delta in
-  let entries = List.rev d.pending in
-  List.iter (layer_add idx.base) entries;
-  let by_rel : (Relation.t, Fact.t list) Hashtbl.t =
-    Hashtbl.create (Hashtbl.length d.by_rel)
-  in
-  Hashtbl.iter
-    (fun rel b ->
-      Hashtbl.replace by_rel rel (List.init b.size (fun i -> b.arr.(i).fact)))
-    d.by_rel;
-  Hashtbl.reset d.by_key;
-  Hashtbl.reset d.by_rel;
-  Hashtbl.reset d.stamps;
-  d.pending <- [];
-  (List.map (fun e -> e.fact) entries, by_rel)
+  let by_rel : (Relation.t, Fact.t list) Hashtbl.t = Hashtbl.create 16 in
+  (* [pending] is newest first, so consing rebuilds each group oldest
+     first *)
+  List.iter
+    (fun f ->
+      let rel = Fact.rel f in
+      let group = Option.value ~default:[] (Hashtbl.find_opt by_rel rel) in
+      Hashtbl.replace by_rel rel (f :: group))
+    !(idx.pending);
+  let flat = List.rev !(idx.pending) in
+  idx.pending := [];
+  (flat, by_rel)
 
 (* Number of leading entries with round <= up_to (rounds are monotone). *)
 let prefix_le bucket up_to =
@@ -111,40 +89,29 @@ let prefix_le bucket up_to =
     !lo + 1
   end
 
-let bucket_seq ?up_to bucket =
-  let limit =
-    match up_to with None -> bucket.size | Some u -> prefix_le bucket u
-  in
-  Seq.init limit (fun i -> bucket.arr.(i).fact)
-
-(* Base entries precede delta entries globally, so appending the two
-   bucket sequences preserves insertion order. *)
-let two_layer_seq ?up_to tbl_of idx key =
-  let seq layer =
-    match Hashtbl.find_opt (tbl_of layer) key with
-    | Some b -> bucket_seq ?up_to b
-    | None -> Seq.empty
-  in
-  Seq.append (seq idx.base) (seq idx.delta)
+let bucket_seq ?up_to tbl key =
+  match Hashtbl.find_opt tbl key with
+  | None -> Seq.empty
+  | Some bucket ->
+    let limit =
+      match up_to with None -> bucket.size | Some u -> prefix_le bucket u
+    in
+    Seq.init limit (fun i -> bucket.arr.(i).fact)
 
 let lookup idx ?up_to rel ~pos c =
   idx.stats.Stats.probes <- idx.stats.Stats.probes + 1;
-  two_layer_seq ?up_to (fun l -> l.by_key) idx (rel, pos, c)
+  bucket_seq ?up_to idx.by_key (rel, pos, c)
 
 let all idx ?up_to rel =
   idx.stats.Stats.probes <- idx.stats.Stats.probes + 1;
-  two_layer_seq ?up_to (fun l -> l.by_rel) idx rel
+  bucket_seq ?up_to idx.by_rel rel
 
 let mem_up_to idx ?(up_to = max_int) f =
   idx.stats.Stats.probes <- idx.stats.Stats.probes + 1;
   match round_of idx f with Some r -> r <= up_to | None -> false
 
-let layer_bucket_size tbl key =
+let bucket_size_in tbl key =
   match Hashtbl.find_opt tbl key with Some b -> b.size | None -> 0
 
-let bucket_size idx rel ~pos c =
-  layer_bucket_size idx.base.by_key (rel, pos, c)
-  + layer_bucket_size idx.delta.by_key (rel, pos, c)
-
-let rel_size idx rel =
-  layer_bucket_size idx.base.by_rel rel + layer_bucket_size idx.delta.by_rel rel
+let bucket_size idx rel ~pos c = bucket_size_in idx.by_key (rel, pos, c)
+let rel_size idx rel = bucket_size_in idx.by_rel rel

@@ -13,15 +13,14 @@
     deterministic.  Lookups bump [probes] on the {!Stats.t} the index was
     created with.
 
-    {b Two layers.}  The index is physically split into a {e base} layer
-    (every committed round) and a {e delta} layer (facts inserted since
-    the last {!commit}).  {!add} lands in the delta; lookups transparently
-    see both layers, base entries first, so semantics are unchanged — but
-    during a parallel match phase the pool workers only ever probe base
-    bucket arrays, which no concurrent insert can resize.  {!commit} folds
-    the delta into the base at the round barrier, in insertion order and
-    O(|delta|), and returns the per-relation grouping the next round's
-    pivot tasks consume directly. *)
+    {b One layer, round barriers.}  Every fact lives in the same tables
+    from the moment {!add} stamps it.  Inserts happen only in the
+    engine's sequential fire phase, after a round's match tasks (which
+    may run on pool workers) have all returned, so lookups never race a
+    bucket resize.  {!add} also queues the fact; {!commit}, at the round
+    barrier, hands the queue back in insertion order — flat and grouped
+    per relation, the grouping the next round's pivot tasks consume
+    directly. *)
 
 open Tgd_syntax
 
@@ -36,23 +35,20 @@ val with_stats : t -> Stats.t -> t
     sharing the underlying tables (read-only during matching). *)
 
 val add : t -> round:int -> Fact.t -> bool
-(** Insert with stamp [round] into the delta layer; [false] when the fact
-    is already present in either layer (the index is unchanged — first
-    stamp wins). *)
+(** Insert with stamp [round]; [false] when the fact is already present
+    (the index is unchanged — first stamp wins). *)
 
 val commit : t -> Fact.t list * (Relation.t, Fact.t list) Hashtbl.t
-(** Merge the delta layer into the base layer — the round barrier.  The
-    merge replays delta entries in their exact insertion order, so after
-    the commit every bucket reads as if the facts had been inserted into a
-    single-layer index sequentially.  Returns the delta as a flat list (in
-    insertion order) and grouped per relation (each group in insertion
-    order) — O(|delta|), computed from the delta's own buckets.  The delta
-    layer is empty afterwards.  Rounds must be committed in non-decreasing
+(** The round barrier: the facts added since the previous commit, as a
+    flat list in insertion order and grouped per relation (each group in
+    insertion order) — O(facts added).  The facts stay in the index; only
+    the queue is emptied.  Rounds must be committed in non-decreasing
     order to keep bucket stamps monotone. *)
 
 val mem : t -> Fact.t -> bool
 val round_of : t -> Fact.t -> int option
 val fact_count : t -> int
+(** Number of facts in the index — O(1). *)
 
 val lookup : t -> ?up_to:int -> Relation.t -> pos:int -> Constant.t -> Fact.t Seq.t
 (** Facts [R(…,c,…)] with [c] at position [pos] and stamp [≤ up_to]

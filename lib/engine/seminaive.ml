@@ -258,9 +258,11 @@ let run ~mode ?(budget = Budget.default) ?(on_fire = fun _ _ _ -> ())
   in
   let initial_facts = Instance.fact_list inst in
   List.iter (fun f -> ignore (Fact_index.add idx ~round:0 f)) initial_facts;
-  (* barrier 0: the input facts become the base layer before any match *)
+  (* barrier 0: round 1 matches the input facts, not a delta *)
   ignore (Fact_index.commit idx);
-  let current = ref inst in
+  (* facts derived so far, newest first; the result instance is built from
+     them once, after the loop *)
+  let added = ref [] in
   let null_counter = ref (max_null inst) in
   let fired_keys : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   let delta = ref initial_facts in
@@ -354,9 +356,10 @@ let run ~mode ?(budget = Budget.default) ?(on_fire = fun _ _ _ -> ())
                       List.iter
                         (fun f ->
                           if Fact_index.add idx ~round:!round f then
-                            current := Instance.add_fact !current f)
+                            added := f :: !added)
                         facts;
-                      if Instance.fact_count !current > budget.Budget.max_facts
+                      (* the index holds the input facts too *)
+                      if Fact_index.fact_count idx > budget.Budget.max_facts
                       then begin
                         set_trip Budget.Facts;
                         raise Exit
@@ -366,9 +369,9 @@ let run ~mode ?(budget = Budget.default) ?(on_fire = fun _ _ _ -> ())
             with Exit -> ());
            let t2 = Unix.gettimeofday () in
            stats.Stats.fire_time <- stats.Stats.fire_time +. (t2 -. t1);
-           (* round barrier: fold this round's delta layer into the base
-              in insertion order; the returned grouping feeds the next
-              round's pivot tasks directly *)
+           (* round barrier: hand back this round's facts in insertion
+              order; the grouping feeds the next round's pivot tasks
+              directly *)
            let dflat, dby_rel = Fact_index.commit idx in
            stats.Stats.merge_time <-
              stats.Stats.merge_time +. (Unix.gettimeofday () -. t2);
@@ -387,5 +390,11 @@ let run ~mode ?(budget = Budget.default) ?(on_fire = fun _ _ _ -> ())
       else if some_active_trigger stats idx sigma then Truncated Budget.Rounds
       else Terminated
   in
+  let instance =
+    match !added with
+    | [] -> inst
+    | fs ->
+      Instance.union inst (Instance.of_facts (Instance.schema inst) (List.rev fs))
+  in
   Stats.add ~into:(Stats.global ()) stats;
-  { instance = !current; outcome; rounds = !round; fired = !fired; stats }
+  { instance; outcome; rounds = !round; fired = !fired; stats }

@@ -81,9 +81,10 @@ val run :
     pool's worker domains ([chunk] tasks per claim, see
     {!Pool.parallel_map}); results and all counters are merged in task
     order, so the outcome, trigger order, and stats totals are identical to
-    the sequential run.  The fire phase is always sequential; each round
-    ends with a {!Fact_index.commit} barrier merging the round's delta into
-    the base layer (timed in [Stats.merge_time]).
+    the sequential run.  The fire phase is always sequential and linear in
+    the facts it derives; each round ends with a {!Fact_index.commit}
+    barrier handing back the round's new facts (timed in
+    [Stats.merge_time]).
 
     Budget checks are cooperative: the full check (clock, memory, fuel)
     runs at every round boundary, every 16th trigger of the fire phase, and

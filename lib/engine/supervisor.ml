@@ -68,13 +68,17 @@ let decide t ~now =
     Trip_breaker :: List.filter (function Respawn _ -> false | _ -> true) acts
   else acts
 
+let note_busy t i ~now = t.slots.(i).state <- Busy now
+
+(* A slot's first start uses no restart budget and leaves its backoff at
+   the base delay. *)
+let note_started = note_busy
+
 let note_spawned t i =
   let slot = t.slots.(i) in
   slot.state <- Idle;
   slot.respawns <- slot.respawns + 1;
   t.restarts <- t.restarts + 1
-
-let note_busy t i ~now = t.slots.(i).state <- Busy now
 
 let note_death t i ~now =
   let slot = t.slots.(i) in

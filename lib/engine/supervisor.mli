@@ -49,9 +49,15 @@ val decide : t -> now:float -> action list
     the breaker has tripped only [Abandon]s are emitted (wedged shards
     must still be killed). *)
 
+val note_started : t -> int -> now:float -> unit
+(** The slot's first process started: mark it busy as of [now].  A first
+    start is not a restart — it neither counts against [max_restarts] nor
+    lengthens the slot's backoff, so the slot's first respawn comes after
+    [backoff_base_s]. *)
+
 val note_spawned : t -> int -> unit
-(** A process was spawned for the slot: mark it idle and count the
-    restart. *)
+(** A replacement process was spawned for a dead slot: mark it idle and
+    count the restart. *)
 
 val note_busy : t -> int -> now:float -> unit
 (** The slot's shard showed a sign of life (heartbeat). *)
@@ -69,7 +75,7 @@ val tripped : t -> bool
 type health = {
   alive : int;  (** slots with a live shard *)
   deaths : int;  (** shard deaths observed (incl. wedges) *)
-  restarts : int;  (** spawns reported via {!note_spawned} *)
+  restarts : int;  (** respawns reported via {!note_spawned} *)
   wedged : int;  (** shards killed as wedged *)
   breaker_tripped : bool;
 }

@@ -35,6 +35,7 @@ let reader ?(pos = 0) ?len src =
 
 let at_end r = r.pos >= r.limit
 let pos r = r.pos
+let remaining r = r.limit - r.pos
 
 let read_byte r =
   if r.pos >= r.limit then corrupt "truncated input (offset %d)" r.pos

@@ -39,6 +39,10 @@ val at_end : reader -> bool
 val pos : reader -> int
 (** Current cursor offset into the underlying string. *)
 
+val remaining : reader -> int
+(** Bytes left in the slice — an upper bound on how many more values a
+    decoder can read, checked before sizing anything by a decoded count. *)
+
 val read_varint : reader -> int
 val read_string : reader -> string
 

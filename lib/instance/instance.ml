@@ -28,9 +28,30 @@ let add_fact i f =
 
 let add_dom i c = { i with dom = Constant.Set.add c i.dom }
 
+(* One pass groups the facts per relation, checking each relation against
+   the schema at its first fact (so the failing fact is the one a fold of
+   [add_fact] would reject); each set and the domain are then built in
+   bulk. *)
 let of_facts ?(dom = []) schema fact_list =
-  let i = List.fold_left add_fact (empty schema) fact_list in
-  { i with dom = Constant.Set.union i.dom (Constant.set_of_list dom) }
+  let groups : (Relation.t, Fact.t list) Hashtbl.t = Hashtbl.create 16 in
+  let consts = ref dom in
+  List.iter
+    (fun f ->
+      let rel = Fact.rel f in
+      (match Hashtbl.find_opt groups rel with
+      | Some fs -> Hashtbl.replace groups rel (f :: fs)
+      | None ->
+        check_fact schema f;
+        Hashtbl.replace groups rel [ f ]);
+      Array.iter (fun c -> consts := c :: !consts) (Fact.tuple_arr f))
+    fact_list;
+  { schema;
+    dom = Constant.Set.of_list !consts;
+    by_rel =
+      Hashtbl.fold
+        (fun rel fs acc -> Relation.Map.add rel (Fact.Set.of_list fs) acc)
+        groups Relation.Map.empty
+  }
 
 let schema i = i.schema
 let dom i = i.dom

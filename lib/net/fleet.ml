@@ -145,7 +145,6 @@ type t = {
   sessions : int Atomic.t;               (* live router sessions *)
   mutable front : Transport.t option;    (* set once the router listens *)
   mutable monitor_thread : Thread.t option;
-  respawns : int Atomic.t;
   chaos_kills : int Atomic.t;
   requests : int Atomic.t;
   failovers : int Atomic.t;
@@ -159,7 +158,7 @@ let alive_count t =
   Array.fold_left (fun n sh -> if sh.pid > 0 then n + 1 else n) 0 t.shards
 
 let degraded t = alive_count t < t.quorum || Supervisor.tripped t.sup
-let respawn_count t = Atomic.get t.respawns
+let respawn_count t = (Supervisor.health t.sup).Supervisor.restarts
 
 (* ---- shard child ----------------------------------------------------- *)
 
@@ -210,16 +209,20 @@ let run_shard config sock hb_w =
   Atomic.set stop true;
   Unix._exit code
 
-let spawn_shard t i =
+let fork_shard t i =
   let sh = t.shards.(i) in
   let r, w = Unix.pipe () in
-  (match Unix.fork () with
+  match Unix.fork () with
   | 0 -> run_shard t.config sh.sock w
   | pid ->
     close_fd w;
     sh.pid <- pid;
     sh.hb <- Some r;
-    sh.last_beat <- Unix.gettimeofday ());
+    sh.last_beat <- Unix.gettimeofday ()
+
+(* A replacement for a dead slot: the one place a restart is counted. *)
+let respawn_shard t i =
+  fork_shard t i;
   Supervisor.note_spawned t.sup i;
   Supervisor.note_busy t.sup i ~now:(Unix.gettimeofday ())
 
@@ -325,9 +328,7 @@ let monitor t =
               Supervisor.note_wedged t.sup i ~now;
               release_beat sh;
               sh.pid <- 0
-            | Supervisor.Respawn i ->
-              ignore (Atomic.fetch_and_add t.respawns 1);
-              spawn_shard t i
+            | Supervisor.Respawn i -> respawn_shard t i
             | Supervisor.Trip_breaker ->
               Fmt.epr
                 "fleet: restart budget exhausted, breaker tripped \
@@ -351,7 +352,7 @@ let status_json t =
       ("quorum", Json.Int t.quorum);
       ("degraded", Json.Bool (degraded t));
       ("breaker_tripped", Json.Bool h.Supervisor.breaker_tripped);
-      ("respawns", Json.Int (Atomic.get t.respawns));
+      ("respawns", Json.Int h.Supervisor.restarts);
       ("deaths", Json.Int h.Supervisor.deaths);
       ("wedged", Json.Int h.Supervisor.wedged);
       ("chaos_kills", Json.Int (Atomic.get t.chaos_kills));
@@ -540,7 +541,6 @@ let start (config : config) addr =
       sessions = Atomic.make 0;
       front = None;
       monitor_thread = None;
-      respawns = Atomic.make 0;
       chaos_kills = Atomic.make 0;
       requests = Atomic.make 0;
       failovers = Atomic.make 0;
@@ -553,7 +553,8 @@ let start (config : config) addr =
       (Transport.listen ~session_ends:t.session_ends config.shard addr
          (router t));
   for i = 0 to config.shards - 1 do
-    spawn_shard t i
+    fork_shard t i;
+    Supervisor.note_started t.sup i ~now:(Unix.gettimeofday ())
   done;
   t.monitor_thread <- Some (Thread.create (fun () -> monitor t) ());
   t

@@ -400,6 +400,36 @@ let prop_codec_roundtrip =
       roundtrip Instance.equal Codec.write_instance Codec.read_instance i
       && roundtrip Tgd.equal Codec.write_tgd Codec.read_tgd tgd)
 
+(* Decoders are total: a valid encoding with a few bytes overwritten, and
+   maybe cut short, decodes to some value or raises [Wire.Corrupt] —
+   never another exception. *)
+let mutated_decodes_or_corrupt write read v (seed, flips, cut) =
+  let buf = Buffer.create 256 in
+  write buf v;
+  let b = Buffer.to_bytes buf in
+  let rng = Random.State.make [| seed |] in
+  let len = Bytes.length b in
+  for _ = 1 to flips do
+    if len > 0 then
+      Bytes.set b (Random.State.int rng len) (Char.chr (Random.State.int rng 256))
+  done;
+  let s = Bytes.to_string b in
+  let s = if cut then String.sub s 0 (Random.State.int rng (len + 1)) else s in
+  match read (Wire.reader s) with
+  | _ -> true
+  | exception Wire.Corrupt _ -> true
+
+let prop_codec_mutation_total =
+  QCheck.Test.make
+    ~name:"codec: mutated bytes decode or raise Wire.Corrupt" ~count:400
+    (QCheck.make
+       QCheck.Gen.(
+         pair (pair gen_instance gen_tgd)
+           (triple (int_range 0 1_000_000) (int_range 1 4) bool)))
+    (fun ((i, tgd), m) ->
+      mutated_decodes_or_corrupt Codec.write_instance Codec.read_instance i m
+      && mutated_decodes_or_corrupt Codec.write_tgd Codec.read_tgd tgd m)
+
 (* -- chase over the chain ----------------------------------------------- *)
 
 let chase_fixture () =
@@ -594,6 +624,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chain_roundtrip;
     QCheck_alcotest.to_alcotest prop_fuzz_never_crashes;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
+    QCheck_alcotest.to_alcotest prop_codec_mutation_total;
     slow_case "chase: truncate, replay, resume = cold (jobs × chunk)"
       test_chase_truncate_resume_equals_cold;
     case "chase: fuel trip syncs the chain mid-round"

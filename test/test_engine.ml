@@ -216,6 +216,53 @@ let test_engine_stats_populated () =
   check_int "naive never probes" 0 n.Chase.stats.Stats.probes;
   check_bool "naive scans instead" true (n.Chase.stats.Stats.scans > 0)
 
+(* ---- fire-phase semantics pinned across engine refactors ---- *)
+
+(* The fact cap trips on the first fire that pushes the instance past
+   [max_facts]; that fire's facts are kept, nothing after it runs. *)
+let test_fact_cap_partial_instance () =
+  let sigma = [ tgd "P(x) -> exists z, w. E(x,z), E(x,w)." ] in
+  let db = inst ~schema:s "P(a). P(b). P(c)." in
+  let budget = Tgd_engine.Budget.limits ~rounds:64 ~facts:4 in
+  let r = Seminaive.run ~mode:Seminaive.Restricted ~budget sigma db in
+  check_bool "truncated on the fact cap" true
+    (r.Seminaive.outcome = Seminaive.Truncated Tgd_engine.Budget.Facts);
+  check_int "one fire" 1 r.Seminaive.fired;
+  let e x y = Fact.make (rel "E") [ x; y ] in
+  let expected =
+    Instance.of_facts s
+      [ fact "P" [ "a" ]; fact "P" [ "b" ]; fact "P" [ "c" ];
+        e (c "a") (Constant.null 1); e (c "a") (Constant.null 2) ]
+  in
+  check_int "exactly five facts" 5 (Instance.fact_count r.Seminaive.instance);
+  check_bool "the first trigger's facts" true
+    (Instance.equal_facts expected r.Seminaive.instance)
+
+(* A constant of the input domain that occurs in no fact survives the
+   chase, and the engine agrees with the naive loop on facts and domain. *)
+let test_dom_only_constant_survives () =
+  let sigma = [ tgd "E(x,y) -> E(y,x)."; tgd "E(x,y) -> P(x)." ] in
+  let db = Instance.of_facts ~dom:[ c "d" ] s [ fact "E" [ "a"; "b" ] ] in
+  let r = Seminaive.run ~mode:Seminaive.Restricted sigma db in
+  check_bool "terminated" true (r.Seminaive.outcome = Seminaive.Terminated);
+  check_bool "dom-only constant kept" true
+    (Constant.Set.mem (c "d") (Instance.dom r.Seminaive.instance));
+  let e = Chase.restricted sigma db in
+  let n = Chase.restricted ~naive:true sigma db in
+  check_bool "engine = naive (facts and domain)" true
+    (Instance.equal e.Chase.instance n.Chase.instance);
+  check_bool "engine = Seminaive.run" true
+    (Instance.equal e.Chase.instance r.Seminaive.instance)
+
+(* A head relation the instance's schema lacks is a caller error. *)
+let test_head_outside_schema_raises () =
+  let sigma = [ tgd "P(x) -> Q(x)." ] in
+  let db = inst ~schema:s "P(a)." in
+  check_bool "Invalid_argument" true
+    (match Seminaive.run ~mode:Seminaive.Restricted sigma db with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* ---- memoized entailment ---- *)
 
 let test_entailment_memo_hits () =
@@ -323,6 +370,12 @@ let suite =
     case "differential: oblivious chase" test_differential_oblivious;
     case "differential: budget exhaustion agrees" test_differential_budget;
     case "stats: engine probes, naive scans" test_engine_stats_populated;
+    case "fire: fact cap keeps the tripping fire's facts"
+      test_fact_cap_partial_instance;
+    case "fire: dom-only constants survive the chase"
+      test_dom_only_constant_survives;
+    case "fire: head relation outside the schema raises"
+      test_head_outside_schema_raises;
     case "entailment: renamed queries share one chase" test_entailment_memo_hits;
     case "entailment: candidates share a body chase"
       test_entailment_shared_body_chase;

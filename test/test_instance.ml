@@ -101,6 +101,46 @@ let test_facts_of () =
   check_int "missing relation" 0
     (Fact.Set.cardinal (Instance.facts_of i0 (Relation.make "P" 2)))
 
+(* [of_facts] is a bulk build; it must agree with folding [add_fact],
+   including the [Invalid_argument] for the first fact outside the
+   schema. *)
+let prop_of_facts_is_fold =
+  let wide = schema [ ("R", 2); ("P", 1); ("Q", 1) ] in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 12)
+           (map2
+              (fun r (x, y) ->
+                let cs = [ c x; c y ] in
+                if r < 3 then Fact.make (Relation.make "R" 2) cs
+                else if r < 5 then Fact.make (Relation.make "P" 1) [ List.hd cs ]
+                else Fact.make (Relation.make "Q" 1) [ List.hd cs ])
+              (int_range 0 5)
+              (pair (oneofl [ "a"; "b"; "c"; "d" ]) (oneofl [ "a"; "b"; "e" ]))))
+        (list_size (int_range 0 3) (oneofl [ "a"; "x"; "y" ])))
+  in
+  let print (fs, dom) =
+    String.concat " " (List.map Fact.to_string fs) ^ " | dom " ^ String.concat "," dom
+  in
+  QCheck.Test.make ~name:"Instance.of_facts = fold add_fact" ~count:300
+    (QCheck.make ~print gen) (fun (fs, dom) ->
+      let sch = if List.length fs mod 3 = 0 then wide else s2 in
+      let dom = List.map c dom in
+      let bulk () = Instance.of_facts ~dom sch fs in
+      let fold () =
+        List.fold_left Instance.add_dom
+          (List.fold_left Instance.add_fact (Instance.empty sch) fs)
+          dom
+      in
+      let run f =
+        match f () with i -> Ok i | exception Invalid_argument m -> Error m
+      in
+      match (run bulk, run fold) with
+      | Ok a, Ok b -> Instance.equal a b
+      | Error m, Error m' -> String.equal m m'
+      | _ -> false)
+
 let suite =
   [ case "basics" test_basic;
     case "dom vs adom" test_dom_vs_adom;
@@ -112,5 +152,6 @@ let suite =
     case "map constants" test_map_constants;
     case "with_dom validation" test_with_dom;
     case "disjoint union" test_disjoint_union;
-    case "facts_of" test_facts_of
+    case "facts_of" test_facts_of;
+    QCheck_alcotest.to_alcotest prop_of_facts_is_fold
   ]

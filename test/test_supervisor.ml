@@ -88,6 +88,46 @@ let test_wedge_abandon () =
   | [ Supervisor.Abandon 0 ] -> ()
   | _ -> Alcotest.fail "expected Abandon even with the breaker tripped"
 
+(* Fleet's call order: [Fleet.start] reports each shard's first start
+   with [note_started]; the monitor reports [note_death] on a reap and, on
+   [Respawn], [note_spawned] then [note_busy].  First starts spend no
+   restart budget and leave every backoff at the base delay. *)
+let test_first_start_is_not_a_restart () =
+  let slots = 4 in
+  (* no heartbeats are replayed, so leave wedge detection off *)
+  let policy = { policy with Supervisor.wedge_timeout_s = None } in
+  let sup = Supervisor.create policy ~slots in
+  for i = 0 to slots - 1 do
+    Supervisor.note_started sup i ~now:0.
+  done;
+  check_int "no restarts after the first starts" 0
+    (Supervisor.health sup).Supervisor.restarts;
+  check_int "all alive" slots (Supervisor.health sup).Supervisor.alive;
+  (* every slot dies once, one after another: each is due after exactly
+     backoff_base_s, and max_restarts = 3 covers the first three *)
+  let respawn i ~died =
+    Supervisor.note_death sup i ~now:died;
+    check_bool "not due before the base delay" true
+      (Supervisor.decide sup ~now:(died +. 0.99) = []);
+    match Supervisor.decide sup ~now:(died +. policy.Supervisor.backoff_base_s) with
+    | [ Supervisor.Respawn j ] when j = i ->
+      Supervisor.note_spawned sup i;
+      Supervisor.note_busy sup i ~now:(died +. 1.)
+    | _ -> Alcotest.failf "slot %d: expected Respawn after backoff_base_s" i
+  in
+  for i = 0 to policy.Supervisor.max_restarts - 1 do
+    respawn i ~died:(10. *. float_of_int (i + 1))
+  done;
+  let h = Supervisor.health sup in
+  check_int "one restart per death" policy.Supervisor.max_restarts
+    h.Supervisor.restarts;
+  check_bool "breaker intact" false h.Supervisor.breaker_tripped;
+  (* the fourth death is past the budget *)
+  Supervisor.note_death sup 3 ~now:100.;
+  match Supervisor.decide sup ~now:101. with
+  | [ Supervisor.Trip_breaker ] -> ()
+  | _ -> Alcotest.fail "expected Trip_breaker once max_restarts is spent"
+
 (* -- the live pool under injected chunk faults --------------------------- *)
 
 let test_shutdown_after_deaths_no_hang () =
@@ -110,5 +150,7 @@ let suite =
     case "breaker trips when the restart budget is gone"
       test_breaker_trips_after_budget;
     case "wedged slots are abandoned" test_wedge_abandon;
+    case "first starts are not restarts (Fleet's call order)"
+      test_first_start_is_not_a_restart;
     case "shutdown after deaths never hangs" test_shutdown_after_deaths_no_hang
   ]
