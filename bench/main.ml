@@ -4,11 +4,13 @@
    figures.  Its reproducible artifacts are (a) the theorems/examples, which
    this harness re-verifies and prints as tables E1–E10 (see DESIGN.md and
    EXPERIMENTS.md), and (b) the complexity analyses of Section 9, whose
-   *shape* (candidate-space growth, runtime scaling) is measured below with
-   Bechamel — one Test.make per experiment — together with ablation benches
-   for the design choices called out in DESIGN.md.
+   *shape* (candidate-space growth, runtime scaling) E6/E7/E8 print.  E12,
+   E14, E15 and E16 time the engine's parallel screening, static analysis,
+   crash recovery and serving, each writing a BENCH_*.json file.
 
-   Run with:  dune exec bench/main.exe *)
+   Run with:  dune exec bench/main.exe
+   or, for just the JSON-emitting rows:
+              dune exec bench/main.exe -- [parallel] [analysis] [recover] [serve] [quick] *)
 
 open Tgd_syntax
 open Tgd_instance
@@ -150,6 +152,15 @@ let median xs =
   let a = Array.of_list xs in
   Array.sort Float.compare a;
   a.(Array.length a / 2)
+
+let chain_db k edges =
+  let e0 = Relation.make "E0" 2 in
+  Tgd_instance.Instance.of_facts (Families.chain_schema k)
+    (List.init edges (fun i ->
+         Fact.make e0
+           [ Constant.named (Printf.sprintf "c%d" i);
+             Constant.named (Printf.sprintf "c%d" (i + 1))
+           ]))
 
 let read_whole_file path =
   let ic = open_in_bin path in
@@ -296,387 +307,6 @@ let e10 () =
     (rewrite_config 2 1)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-let chase_bench k =
-  let sigma = Families.existential_chain k in
-  let schema = Rewrite.schema_of sigma in
-  let db =
-    Tgd_instance.Instance.of_facts schema
-      [ Fact.make (Option.get (Schema.find schema "E0"))
-          [ Constant.named "a"; Constant.named "b" ] ]
-  in
-  Test.make ~name:(Printf.sprintf "chase/existential-chain-%d" k)
-    (Staged.stage (fun () -> ignore (Tgd_chase.Chase.restricted sigma db)))
-
-let chase_ablation =
-  (* restricted vs oblivious on the same weakly-acyclic workload *)
-  let sigma = Families.existential_chain 6 in
-  let schema = Rewrite.schema_of sigma in
-  let db =
-    Tgd_instance.Instance.of_facts schema
-      [ Fact.make (Option.get (Schema.find schema "E0"))
-          [ Constant.named "a"; Constant.named "b" ] ]
-  in
-  [ Test.make ~name:"ablate-chase/restricted"
-      (Staged.stage (fun () -> ignore (Tgd_chase.Chase.restricted sigma db)));
-    Test.make ~name:"ablate-chase/oblivious"
-      (Staged.stage (fun () -> ignore (Tgd_chase.Chase.oblivious sigma db)))
-  ]
-
-let hom_bench =
-  let s = Schema.of_pairs [ ("E", 2) ] in
-  let i = Gen.random_instance (Gen.rng 11) s ~dom_size:8 ~density:0.3 in
-  let path k =
-    List.init k (fun j ->
-        Atom.of_vars (Relation.make "E" 2)
-          [ Variable.indexed "v" j; Variable.indexed "v" (j + 1) ])
-  in
-  List.map
-    (fun k ->
-      Test.make ~name:(Printf.sprintf "hom/path-%d" k)
-        (Staged.stage (fun () -> ignore (Hom.exists_hom (path k) i))))
-    [ 2; 4; 6 ]
-
-let product_bench =
-  let s = Schema.of_pairs [ ("E", 2) ] in
-  let i = Gen.random_instance (Gen.rng 3) s ~dom_size:6 ~density:0.4 in
-  Test.make ~name:"product/6x6" (Staged.stage (fun () -> ignore (Product.direct i i)))
-
-let structured_instance_bench =
-  (* chase of transitive closure over structured graphs *)
-  let tc =
-    Tgd_parse.Parse.tgds_exn "E(x,y) -> T(x,y).\nT(x,y), E(y,z) -> T(x,z)."
-  in
-  let widen i =
-    Tgd_instance.Instance.of_facts
-      (Rewrite.schema_of tc)
-      (Tgd_instance.Instance.fact_list i)
-  in
-  [ Test.make ~name:"datalog/tc-grid-3x3"
-      (Staged.stage (fun () ->
-           ignore (Tgd_chase.Datalog.saturate tc (widen (Families.grid 3 3)))));
-    Test.make ~name:"datalog/tc-cycle-8"
-      (Staged.stage (fun () ->
-           ignore (Tgd_chase.Datalog.saturate tc (widen (Families.cycle 8)))))
-  ]
-
-let candidates_bench =
-  let s = Schema.of_pairs [ ("E", 2); ("P", 1) ] in
-  let caps = Candidates.{ max_body_atoms = 2; max_head_atoms = 1; keep_tautologies = false } in
-  List.map
-    (fun n ->
-      Test.make ~name:(Printf.sprintf "candidates/linear-n%d-m1" n)
-        (Staged.stage (fun () ->
-             ignore (Candidates.count (Candidates.linear ~caps s ~n ~m:1)))))
-    [ 1; 2; 3 ]
-
-let candidates_ablation =
-  (* tautology pruning on/off *)
-  let s = Schema.of_pairs [ ("E", 2); ("P", 1) ] in
-  let mk keep name =
-    let caps = Candidates.{ max_body_atoms = 2; max_head_atoms = 1; keep_tautologies = keep } in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           ignore (Candidates.count (Candidates.linear ~caps s ~n:2 ~m:1))))
-  in
-  [ mk false "ablate-taut/pruned"; mk true "ablate-taut/kept" ]
-
-let g2l_bench =
-  List.map
-    (fun k ->
-      let sigma = Families.guarded_rewritable k in
-      Test.make ~name:(Printf.sprintf "g2l/rewritable-%d" k)
-        (Staged.stage (fun () ->
-             ignore (Rewrite.g_to_l ~config:(rewrite_config 2 1) sigma))))
-    [ 1; 2 ]
-
-let g2l_ablation =
-  let sigma = Families.guarded_rewritable 2 in
-  let mk do_minimize name =
-    let config = Rewrite.{ (rewrite_config 2 1) with minimize = do_minimize } in
-    Test.make ~name (Staged.stage (fun () -> ignore (Rewrite.g_to_l ~config sigma)))
-  in
-  [ mk true "ablate-minimize/on"; mk false "ablate-minimize/off" ]
-
-let fg2g_bench =
-  let sigma = Families.fg_rewritable 1 in
-  Test.make ~name:"fg2g/rewritable-1"
-    (Staged.stage (fun () -> ignore (Rewrite.fg_to_g ~config:(rewrite_config 2 1) sigma)))
-
-let locality_bench =
-  let sigma, i = Families.separation_linear_vs_guarded in
-  let o = Ontology.axiomatic (Rewrite.schema_of sigma) sigma in
-  [ Test.make ~name:"locality/linear-emb"
-      (Staged.stage (fun () ->
-           ignore (Locality.locally_embeddable Locality.Linear ~n:1 ~m:0 o i)));
-    Test.make ~name:"locality/plain-emb"
-      (Staged.stage (fun () ->
-           ignore (Locality.locally_embeddable Locality.Plain ~n:2 ~m:0 o i)))
-  ]
-
-let locality_ablation =
-  (* chase-only vs enumerate-only witness search *)
-  let sigma, i = Families.separation_linear_vs_guarded in
-  let o = Ontology.axiomatic (Rewrite.schema_of sigma) sigma in
-  let mk strategy name =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           ignore (Locality.locally_embeddable ~strategy Locality.Linear ~n:1 ~m:0 o i)))
-  in
-  [ mk Locality.{ use_chase = Some Tgd_chase.Chase.default_budget; enumerate_extra = None }
-      "ablate-witness/chase-only";
-    mk Locality.{ use_chase = None; enumerate_extra = Some 1 }
-      "ablate-witness/enumerate-only"
-  ]
-
-let datalog_ablation =
-  (* semi-naive Datalog vs the generic restricted chase on the same
-     full-tgd workload: transitive closure of an 8-chain *)
-  let sigma =
-    Tgd_parse.Parse.tgds_exn "E(x,y) -> T(x,y).\nT(x,y), E(y,z) -> T(x,z)."
-  in
-  let schema = Rewrite.schema_of sigma in
-  let db =
-    Tgd_instance.Instance.of_facts schema
-      (List.init 8 (fun i ->
-           Fact.make (Relation.make "E" 2)
-             [ Constant.indexed i; Constant.indexed (i + 1) ]))
-  in
-  [ Test.make ~name:"ablate-datalog/semi-naive"
-      (Staged.stage (fun () -> ignore (Tgd_chase.Datalog.saturate sigma db)));
-    Test.make ~name:"ablate-datalog/restricted-chase"
-      (Staged.stage (fun () -> ignore (Tgd_chase.Chase.restricted sigma db)))
-  ]
-
-let theory_bench =
-  let prog =
-    Tgd_parse.Parse.program_exn
-      "SrcEmp(e,d) -> Emp(e), Dept(d).\nDept(d) -> exists m. Mgr(d,m).\nMgr(d,m), Mgr(d,m') -> m = m'."
-  in
-  let schema = prog.Tgd_parse.Parse.schema in
-  let db =
-    Tgd_instance.Instance.of_facts schema
-      (Tgd_parse.Parse.program_exn ~schema
-         "SrcEmp(a,cs). SrcEmp(b,cs). SrcEmp(c,math). Mgr(cs,m1).").Tgd_parse.Parse.facts
-  in
-  let theory =
-    Tgd_chase.Theory.
-      { tgds = prog.Tgd_parse.Parse.tgds;
-        egds = prog.Tgd_parse.Parse.egds;
-        denials = prog.Tgd_parse.Parse.denials
-      }
-  in
-  Test.make ~name:"theory-chase/exchange"
-    (Staged.stage (fun () -> ignore (Tgd_chase.Theory.chase theory db)))
-
-let retract_bench =
-  let s = Schema.of_pairs [ ("E", 2) ] in
-  let i = Gen.random_instance (Gen.rng 21) s ~dom_size:5 ~density:0.5 in
-  Test.make ~name:"retract/core-5x5"
-    (Staged.stage (fun () -> ignore (Retract.core i)))
-
-let refutation_bench =
-  let sigma = Tgd_parse.Parse.tgds_exn "E(x,y) -> exists z. E(y,z)." in
-  let goal = Tgd_parse.Parse.tgd_exn "E(x,y) -> F(x,y)." in
-  Test.make ~name:"refutation/looping-vs-F"
-    (Staged.stage (fun () ->
-         ignore
-           (Refutation.entails
-              ~budget:(Budget.limits ~rounds:4 ~facts:50)
-              sigma goal)))
-
-let synthesis_bench =
-  let s = Schema.of_pairs [ ("E", 2) ] in
-  let o =
-    Ontology.oracle ~name:"sym" s (fun i ->
-        Satisfaction.tgds i (Tgd_parse.Parse.tgds_exn "E(x,y) -> E(y,x)."))
-  in
-  Test.make ~name:"synthesis/symmetric-n2-m0"
-    (Staged.stage (fun () -> ignore (Characterize.synthesize o ~n:2 ~m:0)))
-
-let all_bench_tests =
-  [ chase_bench 3; chase_bench 6; chase_bench 9 ]
-  @ chase_ablation @ hom_bench
-  @ [ product_bench ] @ structured_instance_bench
-  @ candidates_bench @ candidates_ablation @ g2l_bench @ g2l_ablation
-  @ [ fg2g_bench ]
-  @ locality_bench @ locality_ablation
-  @ datalog_ablation
-  @ [ theory_bench; retract_bench; refutation_bench; synthesis_bench ]
-
-let run_benchmarks () =
-  section "Runtime benchmarks (Bechamel; ns per run, OLS estimate)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None
-      ~stabilize:false ()
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let est =
-            match Analyze.OLS.estimates ols_result with
-            | Some (e :: _) -> Printf.sprintf "%12.0f ns/run" e
-            | Some [] | None -> "n/a"
-          in
-          let r2 =
-            match Analyze.OLS.r_square ols_result with
-            | Some r -> Printf.sprintf "r²=%.3f" r
-            | None -> ""
-          in
-          row "  %-34s %s  %s@." name est r2)
-        analyzed)
-    all_bench_tests
-
-(* ------------------------------------------------------------------ *)
-(* E11 — indexed semi-naive engine vs naive chase (BENCH_engine.json)   *)
-(* ------------------------------------------------------------------ *)
-
-module Stats = Tgd_engine.Stats
-
-type engine_side = {
-  fired : int;
-  scans : int;
-  probes : int;
-  rounds : int;
-  delta : int;
-  hit_rate : float;
-  time_s : float;       (* median over the repetitions *)
-  time_cold_s : float;  (* first (always cache-cold) repetition *)
-}
-
-(* Work counters come from the first (cold) repetition; the reported time is
-   the median over all repetitions. *)
-let side_of_stats (st : Stats.t) ~times =
-  { fired = st.Stats.fired;
-    scans = st.Stats.scans;
-    probes = st.Stats.probes;
-    rounds = st.Stats.rounds;
-    delta = st.Stats.delta_facts;
-    hit_rate = Stats.hit_rate st;
-    time_s = median times;
-    time_cold_s = List.hd times
-  }
-
-let side_json s =
-  Printf.sprintf
-    "{\"fired\": %d, \"scans\": %d, \"probes\": %d, \"rounds\": %d, \
-     \"delta_facts\": %d, \"memo_hit_rate\": %.3f, \"time_s\": %.6f, \
-     \"time_cold_s\": %.6f}"
-    s.fired s.scans s.probes s.rounds s.delta s.hit_rate s.time_s s.time_cold_s
-
-(* total matching work: triggers scanned plus index probes — the quantity
-   the naive snapshot-rescan loop pays per round over the whole instance *)
-let work s = s.scans + s.probes
-
-let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den
-
-let chain_db k edges =
-  let e0 = Relation.make "E0" 2 in
-  Tgd_instance.Instance.of_facts (Families.chain_schema k)
-    (List.init edges (fun i ->
-         Fact.make e0
-           [ Constant.named (Printf.sprintf "c%d" i);
-             Constant.named (Printf.sprintf "c%d" (i + 1))
-           ]))
-
-let e11 ~reps () =
-  section "E11  indexed semi-naive engine vs naive snapshot-rescan chase";
-  row "(times: median of %d repetitions, wall clock)@." reps;
-  let entries = Buffer.create 1024 in
-  let first = ref true in
-  let emit kind name naive engine =
-    let fired_ratio = ratio naive.fired engine.fired in
-    let work_ratio = ratio (work naive) (work engine) in
-    if not !first then Buffer.add_string entries ",\n";
-    first := false;
-    Buffer.add_string entries
-      (Printf.sprintf
-         "    {\"kind\": \"%s\", \"name\": \"%s\",\n\
-         \     \"naive\": %s,\n\
-         \     \"engine\": %s,\n\
-         \     \"fired_ratio\": %.2f, \"work_ratio\": %.2f}"
-         kind name (side_json naive) (side_json engine) fired_ratio work_ratio);
-    row "%-30s %8d %8d %9d %9d %6.1fx %6.1fx %5.0f%%@." name naive.fired
-      engine.fired (work naive) (work engine) fired_ratio work_ratio
-      (100. *. engine.hit_rate)
-  in
-  row "%-30s %8s %8s %9s %9s %7s %7s %6s@." "workload" "fired/n" "fired/e"
-    "work/n" "work/e" "fired" "work" "memo/e";
-  let chase_case name sigma db =
-    (* naive: every repetition is cold *)
-    let nruns =
-      List.init reps (fun _ ->
-          time_it (fun () -> Tgd_chase.Chase.restricted ~naive:true sigma db))
-    in
-    let n = fst (List.hd nruns) in
-    (* engine: the chase-result cache stays warm across repetitions — the
-       first repetition is the cold run the work counters come from, the
-       rest replay from the cache, which is the hit rate the row reports *)
-    Tgd_chase.Chase.clear_memo ();
-    let before = Stats.copy (Stats.global ()) in
-    let eruns =
-      List.init reps (fun _ ->
-          time_it (fun () -> Tgd_chase.Chase.restricted ~memo:true sigma db))
-    in
-    let cache_stats = Stats.diff (Stats.copy (Stats.global ())) before in
-    let e = fst (List.hd eruns) in
-    assert (
-      Tgd_instance.Instance.fact_count n.Tgd_chase.Chase.instance
-      = Tgd_instance.Instance.fact_count e.Tgd_chase.Chase.instance);
-    emit "chase" name
-      (side_of_stats n.Tgd_chase.Chase.stats ~times:(List.map snd nruns))
-      { (side_of_stats e.Tgd_chase.Chase.stats ~times:(List.map snd eruns)) with
-        hit_rate = Stats.hit_rate cache_stats
-      }
-  in
-  chase_case "chase tc/clique(6)" Families.transitive_closure (Families.clique 6);
-  chase_case "chase tc/cycle(12)" Families.transitive_closure (Families.cycle 12);
-  chase_case "chase exist_chain(10)" (Families.existential_chain 10) (chain_db 10 4);
-  let rewrite_case name algo sigma config =
-    (* every repetition cold: both memo layers cleared first, so the median
-       measures real work (the within-run entailment-memo hit rate is in
-       the engine side's own stats) *)
-    let run_side config =
-      let runs =
-        List.init reps (fun _ ->
-            Tgd_chase.Entailment.clear_memos ();
-            Tgd_chase.Chase.clear_memo ();
-            time_it (fun () -> Budget.value (algo ?config:(Some config) sigma)))
-      in
-      side_of_stats (fst (List.hd runs)).Rewrite.stats
-        ~times:(List.map snd runs)
-    in
-    let nside = run_side Rewrite.{ config with naive = true; memo = false } in
-    let eside = run_side config in
-    emit "rewrite" name nside eside
-  in
-  rewrite_case "g2l unrewritable(1) [9.1]" g_to_l
-    (Families.guarded_unrewritable 1) (rewrite_config 8 8);
-  rewrite_case "g2l rewritable(2)" g_to_l
-    (Families.guarded_rewritable 2) (rewrite_config 2 1);
-  rewrite_case "fg2g unrewritable(1) [9.1]" fg_to_g
-    (Families.fg_unrewritable 1) (rewrite_config 8 8);
-  let oc = open_out "BENCH_engine.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"engine_vs_naive\",\n  \"repetitions\": %d,\n\
-    \  \"entries\": [\n%s\n  ]\n}\n"
-    reps (Buffer.contents entries);
-  close_out oc;
-  row "@.BENCH_engine.json written@."
-
-(* ------------------------------------------------------------------ *)
 (* E12 — parallel candidate screening (BENCH_parallel.json)             *)
 (* ------------------------------------------------------------------ *)
 
@@ -783,117 +413,6 @@ let e12 ~reps ~quick () =
     cores reps (Buffer.contents entries);
   close_out oc;
   row "@.BENCH_parallel.json written@."
-
-(* ------------------------------------------------------------------ *)
-(* E13 — resource-governance overhead and truncation accuracy           *)
-(*       (BENCH_robust.json)                                            *)
-(* ------------------------------------------------------------------ *)
-
-let e13 ~reps () =
-  section "E13  budget governance: overhead on governed-but-untripped runs";
-  row "(times: median of %d cold repetitions)@." reps;
-  (* a budget whose limits are far out of reach: every check is paid, none
-     trips — the pure cost of governance *)
-  let far_budget () =
-    Budget.make ~rounds:max_int ~facts:max_int ~fuel:max_int ~timeout_s:3600.
-      ()
-  in
-  let overhead_entries = Buffer.create 1024 in
-  let first = ref true in
-  row "%-30s %12s %12s %9s@." "workload" "plain(s)" "governed(s)" "overhead";
-  let overhead_case name plain governed =
-    let cold f =
-      List.init reps (fun _ ->
-          Tgd_chase.Entailment.clear_memos ();
-          Tgd_chase.Chase.clear_memo ();
-          snd (time_it f))
-      |> median
-    in
-    let tp = cold plain in
-    let tg = cold governed in
-    let pct = if tp > 0. then 100. *. (tg -. tp) /. tp else 0. in
-    row "%-30s %12.4f %12.4f %8.1f%%@." name tp tg pct;
-    if not !first then Buffer.add_string overhead_entries ",\n";
-    first := false;
-    Buffer.add_string overhead_entries
-      (Printf.sprintf
-         "    {\"name\": \"%s\", \"plain_s\": %.6f, \"governed_s\": %.6f, \
-          \"overhead_pct\": %.2f}"
-         name tp tg pct)
-  in
-  let chase_workload name sigma db =
-    overhead_case name
-      (fun () -> ignore (Tgd_chase.Chase.restricted sigma db))
-      (fun () ->
-        ignore (Tgd_chase.Chase.restricted ~budget:(far_budget ()) sigma db))
-  in
-  chase_workload "chase tc/clique(6)" Families.transitive_closure
-    (Families.clique 6);
-  chase_workload "chase exist_chain(10)" (Families.existential_chain 10)
-    (chain_db 10 4);
-  let rewrite_workload name algo sigma config =
-    overhead_case name
-      (fun () -> ignore (Budget.value (algo ?config:(Some config) sigma)))
-      (fun () ->
-        ignore
-          (Budget.value
-             (algo
-                ?config:
-                  (Some Rewrite.{ config with budget = far_budget () })
-                sigma)))
-  in
-  rewrite_workload "g2l rewritable(2)" g_to_l
-    (Families.guarded_rewritable 2) (rewrite_config 2 1);
-  rewrite_workload "fg2g unrewritable(1) [9.1]" fg_to_g
-    (Families.fg_unrewritable 1) (rewrite_config 8 8);
-  (* time-to-truncation: a non-terminating chase under a wall-clock
-     deadline; how soon past the deadline does the engine actually stop? *)
-  section "E13  time-to-truncation accuracy (non-terminating chase)";
-  row "%-14s %12s %12s %10s@." "deadline(s)" "stopped(s)" "excess(s)"
-    "truncated";
-  let nonterm = Tgd_parse.Parse.tgds_exn "E(x,y) -> exists z. E(y,z)." in
-  let nonterm_db =
-    let schema = Rewrite.schema_of nonterm in
-    Tgd_instance.Instance.of_facts schema
-      [ Fact.make (Option.get (Schema.find schema "E"))
-          [ Constant.named "a"; Constant.named "b" ] ]
-  in
-  let trunc_entries = Buffer.create 1024 in
-  let first_t = ref true in
-  List.iter
-    (fun deadline ->
-      let budget = Budget.make ~rounds:max_int ~facts:max_int
-          ~timeout_s:deadline ()
-      in
-      let r, elapsed =
-        time_it (fun () ->
-            Tgd_chase.Chase.restricted ~budget nonterm nonterm_db)
-      in
-      let truncated =
-        match r.Tgd_chase.Chase.outcome with
-        | Tgd_chase.Chase.Truncated Budget.Deadline -> true
-        | _ -> false
-      in
-      let excess = elapsed -. deadline in
-      row "%-14.2f %12.4f %12.4f %10b@." deadline elapsed excess truncated;
-      if not !first_t then Buffer.add_string trunc_entries ",\n";
-      first_t := false;
-      Buffer.add_string trunc_entries
-        (Printf.sprintf
-           "    {\"deadline_s\": %.2f, \"stopped_s\": %.6f, \
-            \"excess_s\": %.6f, \"truncated\": %b}"
-           deadline elapsed excess truncated))
-    [ 0.05; 0.1; 0.2 ];
-  let oc = open_out "BENCH_robust.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"governance_overhead\",\n  \"repetitions\": %d,\n\
-    \  \"overhead_target_pct\": 3.0,\n  \"overhead\": [\n%s\n  ],\n\
-    \  \"truncation\": [\n%s\n  ]\n}\n"
-    reps
-    (Buffer.contents overhead_entries)
-    (Buffer.contents trunc_entries);
-  close_out oc;
-  row "@.BENCH_robust.json written@."
 
 (* ------------------------------------------------------------------ *)
 (* E14 — static analysis: candidate prefiltering, promotion, overhead    *)
@@ -1662,13 +1181,9 @@ let () =
   
   Fmt.pr "Reproduction harness — Console, Kolaitis, Pieris: Model-theoretic@.";
   Fmt.pr "Characterizations of Rule-based Ontologies (PODS 2021)@.";
-  if has "engine" || has "parallel" || has "robust" || has "analysis"
-     || has "recover" || has "serve"
-  then begin
+  if has "parallel" || has "analysis" || has "recover" || has "serve" then begin
     (* just the requested JSON-emitting comparisons *)
-    if has "engine" then e11 ~reps ();
     if has "parallel" then e12 ~reps ~quick ();
-    if has "robust" then e13 ~reps ();
     if has "analysis" then e14 ~reps ();
     if has "recover" then e15 ~reps ();
     if has "serve" then e16 ~quick ();
@@ -1685,9 +1200,6 @@ let () =
     e8 ();
     e9 ();
     e10 ();
-    e11 ~reps ();
     e12 ~reps ~quick ();
-    e13 ~reps ();
-    run_benchmarks ();
     Fmt.pr "@.Done.@."
   end

@@ -978,8 +978,8 @@ let serve_cmd =
       & info [ "socket" ] ~docv:"PATH"
           ~doc:"Listen on a Unix-domain socket at $(docv) instead of \
                 serving stdin/stdout.  Concurrent connections share the \
-                warm entailment and chase caches and a pool of \
-                $(b,--workers) worker domains.")
+                warm entailment, analyze and certificate caches and a \
+                pool of $(b,--workers) worker domains.")
   in
   let tcp_arg =
     Arg.(
@@ -1011,9 +1011,12 @@ let serve_cmd =
     Arg.(
       value & opt (some int) None
       & info [ "cache-bytes" ] ~docv:"BYTES"
-          ~doc:"Ceiling on the shared warm caches (entailment memo, \
-                chase-result cache, analyze reports and termination \
-                certificates) with LRU eviction; unlimited by default.")
+          ~doc:"Ceiling on the shared warm caches, with LRU eviction; \
+                unlimited by default.  Each table keeps to its own share \
+                of $(docv): 14/32 to the entailment memo, 2/32 to the \
+                analyze reports and 1/32 to each of the two termination \
+                certificate caches; the remaining 14/32 is assigned to no \
+                table.")
   in
   let max_line_bytes_arg =
     Arg.(

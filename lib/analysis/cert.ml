@@ -138,5 +138,3 @@ let to_file path sigma t =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string sigma t))
-
-let pp ppf t = Fmt.string ppf (Termination.cert_name (notion t))

@@ -40,15 +40,9 @@ type t =
 
 val notion : t -> Termination.cert
 
-val sigma_digest : Tgd.t list -> string
-(** Hex digest binding a certificate to its rule set: MD5 over the
-    sorted canonical rule texts. *)
-
 val to_string : Tgd.t list -> t -> string
 (** The [tgdcert v1] rendering: header [tgdcert v1], a
     [rules <n> <digest>] binding line, the notion payload, and a trailing
     [end]. *)
 
 val to_file : string -> Tgd.t list -> t -> unit
-
-val pp : t Fmt.t

@@ -50,11 +50,9 @@ type 'w verdict =
   | Fails of string  (** with a human-readable refutation *)
   | Unknown of string  (** budget exhausted (or reserved-name clash) *)
 
-val default_budget : unit -> Tgd_engine.Budget.t
-(** Deterministic analysis budget: 128 rounds, 20k facts, 60k fuel — no
-    deadline, so verdicts are machine-independent. *)
-
 val mfa : ?budget:Tgd_engine.Budget.t -> Tgd.t list -> mfa_witness verdict
+(** [budget] (here and in {!msa}) defaults to 128 rounds, 20k facts and
+    60k fuel with no deadline, so verdicts are machine-independent. *)
 
 type msa_witness = {
   msa_model : Fact.t list;
@@ -64,14 +62,3 @@ type msa_witness = {
 }
 
 val msa : ?budget:Tgd_engine.Budget.t -> Tgd.t list -> msa_witness verdict
-
-val summarise : Tgd.t list -> (Tgd.t * Fact.t list) list
-(** The MSA transformation: each rule paired with the seed facts of its
-    summarising constants.  Exposed for tests and the certificate
-    checker's format specification. *)
-
-val schema_of : Tgd.t list -> Schema.t
-(** Every relation occurring in the rules, as a schema. *)
-
-val msa_d_rel : Relation.t
-val msa_const_name : int -> Variable.t -> string

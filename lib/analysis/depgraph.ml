@@ -186,16 +186,3 @@ let unconsumed sigma =
       Relation.Set.empty g.rules
   in
   Relation.Set.diff heads bodies
-
-let pp ppf g =
-  Fmt.pf ppf "@[<v>";
-  Relation.Set.iter
-    (fun r ->
-      let s = succ g r in
-      if not (Relation.Set.is_empty s) then
-        Fmt.pf ppf "%s -> %a@,"
-          (Relation.name r)
-          Fmt.(list ~sep:(any ", ") string)
-          (List.map Relation.name (Relation.Set.elements s)))
-    g.nodes;
-  Fmt.pf ppf "@]"

@@ -64,5 +64,3 @@ val unconsumed : Tgd.t list -> Relation.Set.t
 (** Relations occurring in some head but in no body: derived and then never
     used by the rules themselves.  Often fine (they are the "output"), hence
     only informational. *)
-
-val pp : t Fmt.t

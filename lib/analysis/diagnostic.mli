@@ -20,12 +20,8 @@ type t = {
 
 val make : ?rule:int -> severity -> code:string -> string -> t
 
-val severity_name : severity -> string
 val severity_rank : severity -> int
 (** [0] for [Error] up to [3] for [Hint]; used for sorting. *)
-
-val compare : t -> t -> int
-(** Most severe first, then by code, rule index, and message. *)
 
 val sort : t list -> t list
 
@@ -33,7 +29,6 @@ val exit_code : t list -> int
 (** [2] when any [Error] is present, [1] when any [Warning] (and no error),
     [0] otherwise — the contract of [tgdtool analyze]. *)
 
-val pp_severity : severity Fmt.t
 val pp : t Fmt.t
 
 val to_json : t -> string

@@ -54,5 +54,4 @@ val covers : profile -> Termination.cert -> bool
 
 val verdict_name : verdict -> string
 val verdict_detail : verdict -> string option
-val pp_verdict : verdict Fmt.t
 val pp_profile : profile Fmt.t

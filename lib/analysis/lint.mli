@@ -17,11 +17,6 @@ val tautological : Tgd.t -> bool
     Equivalent to entailment by the empty theory, decided without a chase;
     {!Candidates} uses it to prune tautological candidates statically. *)
 
-val tautological_heads : Tgd.t list -> Diagnostic.t list
-(** Rules whose head already follows from their body alone (a homomorphism
-    from the head into the body fixing the frontier): firing them can never
-    add information.  [Error], code ["tautological-head"]. *)
-
 val unused_universals : Tgd.t list -> Diagnostic.t list
 (** Universal variables occurring exactly once in the rule (one body
     position, never in the head): they only assert that the position is

@@ -23,8 +23,6 @@ type place = { rule : int; atom : int; pos : int }
     (which one is determined by context); [pos] is the argument
     position. *)
 
-val place_compare : place -> place -> int
-
 type swa_witness = {
   moves : (int * place list) list;
       (** For each rule [i], the closure [Move(Σ, Out(σ_i))] as a set of

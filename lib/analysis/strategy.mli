@@ -56,13 +56,6 @@ val cost_weight : cost -> int
     [64] for [Expensive].  The common currency between the screening
     chunker here and the serving layer's batch chunker. *)
 
-val item_weight : t -> int
-(** Relative cost of screening one rewrite candidate: [1] when the chase
-    per candidate is provably bounded ({!Datalog_saturation},
-    {!Chase_to_completion}), [64] when uncertified ({!Budgeted_chase}) —
-    each candidate may burn its whole per-candidate budget.
-    [item_weight t = cost_weight (predicted_cost t)]. *)
-
 val chunk_weight_target : int
 (** Weight a pool chunk should carry — enough to amortize one queue
     claim into noise.  [chunk ≈ chunk_weight_target / per-item weight]. *)
@@ -77,7 +70,8 @@ val screen_chunk : t -> jobs:int -> n:int -> int
 
 val sweep_cost : t -> cap:float -> candidates:float -> cost
 (** Admission cost of a candidate sweep: the candidate count weighted by
-    {!item_weight} (calibrated so [cap] bounds an {e uncertified} space).
+    [cost_weight (predicted_cost t)] (calibrated so [cap] bounds an
+    {e uncertified} space).
     A certified sweep admits a 64× larger space before turning
     [Expensive], keeping large certified workloads on the warm path;
     otherwise the result is {!predicted_cost} (at least [Moderate]). *)
@@ -86,5 +80,4 @@ val max_cost : cost -> cost -> cost
 val cost_name : cost -> string
 
 val engine_name : engine -> string
-val pp_engine : engine Fmt.t
 val pp : t Fmt.t

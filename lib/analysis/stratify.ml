@@ -90,8 +90,3 @@ let is_trivial t = List.length t.strata <= 1
 let rules_of sigma indices =
   let arr = Array.of_list sigma in
   List.map (fun i -> arr.(i)) indices
-
-let pp ppf t =
-  Fmt.pf ppf "%d strata: %a" (List.length t.strata)
-    Fmt.(list ~sep:(any " | ") (list ~sep:(any ",") int))
-    t.strata

@@ -22,7 +22,6 @@ type t = {
       (** SCCs of the precedence, sources first, each sorted ascending *)
 }
 
-val precedence : Tgd.t list -> (int * int) list
 val build : Tgd.t list -> t
 
 val is_trivial : t -> bool
@@ -31,5 +30,3 @@ val is_trivial : t -> bool
 
 val rules_of : Tgd.t list -> int list -> Tgd.t list
 (** The sub-program at the given rule indices, in index order. *)
-
-val pp : t Fmt.t

@@ -78,6 +78,5 @@ val cert_rank : cert -> int
     lower ranks are cheaper to establish and carry tighter bounds. *)
 
 val pp_cert : cert Fmt.t
-val pp_position : position Fmt.t
 val pp_wa_witness : wa_witness Fmt.t
 val pp_ja_witness : ja_witness Fmt.t

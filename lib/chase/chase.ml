@@ -155,51 +155,14 @@ let run_engine ~mode ?(budget = default_budget) ?on_fire ~jobs ?chunk sigma
     stats = r.Seminaive.stats
   }
 
-(* ------------------------------------------------------------------ *)
-(* Chase-result cache                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Keyed on everything a {e reproducible} result depends on: chase kind,
-   implementation, the deterministic budget caps ({!Budget.key}), the
-   canonical theory key, and the (sorted, printed) input facts.  Only
-   consulted when the caller opts in with [~memo:true] and passes no
-   [on_fire] observer (a cached replay could not invoke it). *)
-let result_memo : result Memo.t = Memo.create ~name:"chase-results" ()
-
-let clear_memo () = Memo.clear result_memo
-
-let set_memo_limit ~bytes = Memo.set_limit result_memo ~bytes
-
-let memo_counters () = Memo.counters result_memo
-
-let chase_key ~kind ~naive ~budget sigma inst =
-  Fmt.str "%s|naive=%b|%s|%s|%s" kind naive (Budget.key budget)
-    (Memo.sigma_key sigma)
-    (Instance.fact_list inst |> List.map Fact.to_string
-    |> List.sort String.compare |> String.concat ",")
-
-(* A result may be stored only when it is a function of the caps in the
-   key: complete runs and cap-truncated runs qualify; deadline-, memory-,
-   fuel-, cancellation- or fault-truncated runs stopped at a wall-clock
-   accident and must not be replayed.  Lookups stay sound for any budget
-   sharing the caps — a cached deterministic result is exactly what the
-   live-limited run would have produced given enough time. *)
+(* Whether a result is a function of the deterministic caps alone: complete
+   runs and cap-truncated runs qualify; deadline-, memory-, fuel-,
+   cancellation- or fault-truncated runs stopped at a wall-clock accident
+   and must not be cached under {!Budget.key}. *)
 let deterministic_result r =
   match r.outcome with
   | Terminated | Truncated (Budget.Rounds | Budget.Facts) -> true
   | Truncated _ -> false
-
-let cached ~kind ~naive ~budget ~memo ~has_on_fire sigma inst run =
-  if memo && not has_on_fire then begin
-    let key = chase_key ~kind ~naive ~budget sigma inst in
-    match Memo.find result_memo key with
-    | Some r -> r
-    | None ->
-      let r = run () in
-      if deterministic_result r then Memo.add result_memo key r;
-      r
-  end
-  else run ()
 
 (* ------------------------------------------------------------------ *)
 (* Analysis-driven promotion                                           *)
@@ -209,9 +172,7 @@ let cached ~kind ~naive ~budget ~memo ~has_on_fire sigma inst run =
 (* trips, re-running with the cap lifted turns the [Truncated Rounds]  *)
 (* into a definite result.  Only the round cap is lifted — fact caps,  *)
 (* deadlines, fuel and cancellation are memory/wall-clock guards the   *)
-(* certificate says nothing about.  The rerun goes through the same    *)
-(* [cached] wrapper with the lifted budget, so every cache entry stays *)
-(* keyed by the caps that produced it.                                 *)
+(* certificate says nothing about.                                     *)
 (*                                                                     *)
 (* The restricted chase consults the full termination lattice (SWA,    *)
 (* MSA, MFA, stratification on top of WA/JA): every lattice notion     *)
@@ -224,6 +185,8 @@ let cached ~kind ~naive ~budget ~memo ~has_on_fire sigma inst run =
 let cert_memo : bool Memo.t = Memo.create ~name:"termination-certs" ()
 let lattice_memo : bool Memo.t = Memo.create ~name:"termination-lattice" ()
 let certificate_memos = [ cert_memo; lattice_memo ]
+
+let clear_memo () = List.iter Memo.clear certificate_memos
 
 let certified_terminating sigma =
   let key = Memo.sigma_key sigma in
@@ -251,31 +214,27 @@ let with_promotion ~certified ~analyze ~budget ~rerun sigma r =
   | _ -> r
 
 let restricted ?(naive = false) ?(budget = default_budget) ?on_fire
-    ?(jobs = 1) ?chunk ?(memo = false) ?(analyze = true) sigma inst =
+    ?(jobs = 1) ?chunk ?(analyze = true) sigma inst =
   let go budget =
-    cached ~kind:"restricted" ~naive ~budget ~memo
-      ~has_on_fire:(Option.is_some on_fire) sigma inst (fun () ->
-        if naive then
-          run_naive ~recheck_active:true ~skip_fired:false ~budget ?on_fire
-            sigma inst
-        else
-          run_engine ~mode:Seminaive.Restricted ~budget ?on_fire ~jobs ?chunk
-            sigma inst)
+    if naive then
+      run_naive ~recheck_active:true ~skip_fired:false ~budget ?on_fire sigma
+        inst
+    else
+      run_engine ~mode:Seminaive.Restricted ~budget ?on_fire ~jobs ?chunk sigma
+        inst
   in
   with_promotion ~certified:lattice_certified ~analyze ~budget ~rerun:go sigma
     (go budget)
 
 let oblivious ?(naive = false) ?(budget = default_budget) ?on_fire ?(jobs = 1)
-    ?chunk ?(memo = false) ?(analyze = true) sigma inst =
+    ?chunk ?(analyze = true) sigma inst =
   let go budget =
-    cached ~kind:"oblivious" ~naive ~budget ~memo
-      ~has_on_fire:(Option.is_some on_fire) sigma inst (fun () ->
-        if naive then
-          run_naive ~recheck_active:false ~skip_fired:true ~budget ?on_fire
-            sigma inst
-        else
-          run_engine ~mode:Seminaive.Oblivious ~budget ?on_fire ~jobs ?chunk
-            sigma inst)
+    if naive then
+      run_naive ~recheck_active:false ~skip_fired:true ~budget ?on_fire sigma
+        inst
+    else
+      run_engine ~mode:Seminaive.Oblivious ~budget ?on_fire ~jobs ?chunk sigma
+        inst
   in
   with_promotion ~certified:certified_terminating ~analyze ~budget ~rerun:go
     sigma (go budget)
@@ -377,7 +336,7 @@ let load_log cfg =
    numbering and fresh-null naming after the resume point may differ from
    the uninterrupted run — the result is identical up to null renaming
    (isomorphism), which is all the chase ever promises.  Certificate-based
-   promotion and memoisation are disabled, as before. *)
+   promotion is disabled, as before. *)
 let restricted_resumable ?(budget = default_budget) ?(jobs = 1) ?chunk
     ?(every = 8) ?(compact_every = 64) ~log ?resume sigma inst =
   if every < 1 then

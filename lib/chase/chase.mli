@@ -45,7 +45,7 @@ type result = {
 val restricted :
   ?naive:bool ->
   ?budget:budget -> ?on_fire:(Trigger.t -> Fact.t list -> unit) ->
-  ?jobs:int -> ?chunk:int -> ?memo:bool -> ?analyze:bool ->
+  ?jobs:int -> ?chunk:int -> ?analyze:bool ->
   Tgd.t list -> Instance.t -> result
 (** Breadth-first restricted chase.  When [outcome = Terminated] the
     instance is a universal model of [(facts(D), Σ)].  [on_fire] observes
@@ -57,11 +57,7 @@ val restricted :
     results are merged deterministically, so the outcome is identical to
     [jobs = 1], which bypasses the pool entirely (ignored on the naive
     path).  [chunk] fixes the match tasks per pool claim (default: sized
-    by the pool); the outcome is independent of it.  [memo:true] consults
-    a process-wide
-    result cache keyed on (kind, implementation, budget, canonical theory,
-    input facts) — only when no [on_fire] observer is passed, since a
-    cached replay could not invoke it.
+    by the pool); the outcome is independent of it.
 
     [analyze] (default [true]) promotes a [Truncated Rounds] outcome on a
     rule set carrying a termination certificate
@@ -74,27 +70,21 @@ val restricted :
 val oblivious :
   ?naive:bool ->
   ?budget:budget -> ?on_fire:(Trigger.t -> Fact.t list -> unit) ->
-  ?jobs:int -> ?chunk:int -> ?memo:bool -> ?analyze:bool ->
+  ?jobs:int -> ?chunk:int -> ?analyze:bool ->
   Tgd.t list -> Instance.t -> result
 (** Oblivious (naive) chase: every trigger fires exactly once.  [jobs],
-    [chunk], [memo] and [analyze] as in {!restricted}. *)
-
-val clear_memo : unit -> unit
-(** Drop every entry of the [~memo:true] result cache. *)
-
-val set_memo_limit : bytes:int option -> unit
-(** Install (or remove) a byte ceiling with LRU eviction on the
-    [~memo:true] result cache ({!Tgd_engine.Memo.set_limit}); changing the
-    limit clears the cache. *)
-
-val memo_counters : unit -> Tgd_engine.Memo.counters
-(** Hit/miss/entry/byte/eviction counters of the result cache. *)
+    [chunk] and [analyze] as in {!restricted}. *)
 
 val certificate_memos : bool Tgd_engine.Memo.t list
 (** The per-ontology termination-certificate caches behind promotion
     (the WA/JA front and the full lattice), keyed by
     {!Tgd_engine.Memo.sigma_key}.  Exposed so a server can put them under
     its cache ceiling. *)
+
+val clear_memo : unit -> unit
+(** Drop every entry of the {!certificate_memos}.  Chase results
+    themselves are never cached here; {!Entailment} keeps the chases it
+    reuses. *)
 
 type checkpoint = {
   chk_instance : Instance.t;  (** committed saturation prefix *)
@@ -153,7 +143,7 @@ val restricted_resumable :
     to the exact returned state, so a killed or budget-tripped run resumes
     from [load_log] via [?resume] instead of refiring from the input.
     The budget governs the whole run across resumes ([rounds] counts
-    cumulatively); promotion ([analyze]) and [memo] are disabled.  A
+    cumulatively); promotion ([analyze]) is disabled.  A
     resumed run reaches the same saturation up to null renaming (the
     engine's delta stratification restarts at the checkpoint). *)
 
@@ -165,6 +155,7 @@ val deterministic_result : result -> bool
     [Terminated] or [Truncated (Rounds | Facts)].  Deadline-, memory-,
     fuel-, cancellation-, and fault-truncated runs stopped at a wall-clock
     accident and are not reproducible; caches keyed on {!Budget.key} (which
-    covers only the caps) must store nothing else. *)
+    covers only the caps), such as {!Entailment}'s, must store nothing
+    else. *)
 
 val pp_result : result Fmt.t

@@ -31,7 +31,7 @@ val entails :
   Tgd.t list -> Tgd.t -> answer
 (** [entails sigma s] — does [Σ ⊨ σ]?
 
-    With [~memo:true] (the default) answers are cached at two levels, both
+    With [memo] on (the default) answers are cached at two levels, both
     keyed up to variable renaming via {!Tgd_engine.Memo}: an answer cache on
     the canonical [(Σ, σ, budget)] triple, and below it a chase cache on
     [(Σ, canonical body of σ, budget)] — so candidate tgds sharing a body

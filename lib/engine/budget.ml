@@ -41,6 +41,9 @@ type t = {
   cancel : Cancel.t;
 }
 
+(* The clock deadlines are measured against: [Unix.gettimeofday], the best
+   the stdlib offers without external deps; steps backwards only delay a
+   trip, never corrupt it. *)
 let now () = Unix.gettimeofday ()
 
 let make ?(rounds = 64) ?(facts = 20_000) ?fuel ?timeout_s ?memory_words
@@ -100,8 +103,3 @@ let map f = function
   | Complete v -> Complete (f v)
   | Truncated { reason; partial; progress } ->
     Truncated { reason; partial = f partial; progress }
-
-let pp_outcome pp_v ppf = function
-  | Complete v -> Fmt.pf ppf "@[complete:@ %a@]" pp_v v
-  | Truncated { reason; partial; _ } ->
-    Fmt.pf ppf "@[truncated (%a):@ %a@]" pp_exhaustion reason pp_v partial

@@ -48,7 +48,7 @@ type t = private {
   max_rounds : int;
   max_facts : int;
   fuel : int Atomic.t option;       (** remaining firings, shared by copies *)
-  deadline : float option;          (** absolute time, {!now} scale *)
+  deadline : float option;          (** absolute [Unix.gettimeofday] time *)
   max_memory_words : int option;    (** against [Gc.quick_stat].heap_words *)
   cancel : Cancel.t;
 }
@@ -69,7 +69,7 @@ val make :
   t
 (** Fresh budget.  Defaults: [rounds = 64], [facts = 20_000], no fuel, no
     deadline, no memory ceiling, fresh token.  [timeout_s] is relative to
-    {!now} at creation time. *)
+    the clock at creation time. *)
 
 val limits : rounds:int -> facts:int -> t
 (** Caps-only budget ([make ~rounds ~facts ()]) — the PR-2-era knobs. *)
@@ -82,11 +82,6 @@ val unlimited : t
 
 val with_rounds : t -> int -> t
 (** Same token, fuel, deadline and ceiling; new round cap. *)
-
-val now : unit -> float
-(** The clock deadlines are measured against.  Monotonic for the engine's
-    purposes: [Unix.gettimeofday], the best the stdlib offers without
-    external deps; steps backwards only delay a trip, never corrupt it. *)
 
 val token : t -> Cancel.t
 
@@ -122,5 +117,3 @@ val value : 'a outcome -> 'a
 (** The payload, complete or partial. *)
 
 val map : ('a -> 'b) -> 'a outcome -> 'b outcome
-
-val pp_outcome : 'a Fmt.t -> 'a outcome Fmt.t

@@ -16,15 +16,6 @@
 open Tgd_syntax
 open Tgd_instance
 
-val write_constant : Buffer.t -> Constant.t -> unit
-val read_constant : Wire.reader -> Constant.t
-
-val write_relation : Buffer.t -> Relation.t -> unit
-val read_relation : Wire.reader -> Relation.t
-
-val write_schema : Buffer.t -> Schema.t -> unit
-val read_schema : Wire.reader -> Schema.t
-
 (** {1 Facts relative to a schema}
 
     Fact records reference their relation as a varint index into the
@@ -36,9 +27,6 @@ type rel_reader
 
 val rel_writer : Schema.t -> rel_writer
 val rel_reader : Schema.t -> rel_reader
-
-val write_fact : rel_writer -> Buffer.t -> Fact.t -> unit
-val read_fact : rel_reader -> Wire.reader -> Fact.t
 
 val write_facts : rel_writer -> Buffer.t -> Fact.t list -> unit
 val read_facts : rel_reader -> Wire.reader -> Fact.t list

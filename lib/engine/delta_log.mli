@@ -63,7 +63,6 @@ val log_path : config -> generation:int -> string
 
 type error = { path : string; message : string }
 
-val pp_error : error Fmt.t
 val error_to_string : error -> string
 
 type chain = {

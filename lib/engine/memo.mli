@@ -12,7 +12,7 @@
       share one chase.
 
     Canonicalization minimizes over atom permutations and is therefore
-    factorial in the atom count; above {!val:exact_limit} atoms the keys fall
+    factorial in the atom count; above five atoms the keys fall
     back to a deterministic sorted printed form.  The fallback is sound — it
     only distinguishes some inputs that the exact form would identify,
     reducing the hit rate, never the correctness.
@@ -85,12 +85,9 @@ type counters = {
 val combine_counters : counters -> counters -> counters
 val counters : 'a t -> counters
 
-val exact_limit : int
-(** Maximum atom count (body + head for tgds) for exact canonical keys. *)
-
 val tgd_key : Tgd.t -> string
 (** Stable under variable renaming and atom reordering (below
-    {!exact_limit}); results are cached per tgd. *)
+    five atoms); results are cached per tgd. *)
 
 val sigma_key : Tgd.t list -> string
 (** Stable under renaming, reordering and duplication of the theory's
@@ -98,12 +95,12 @@ val sigma_key : Tgd.t list -> string
 
 val body_key : Atom.t list -> string
 (** Canonical key for a conjunction of atoms, stable under variable renaming
-    and atom reordering (below {!exact_limit}). *)
+    and atom reordering (below five atoms). *)
 
 val body_canonical : Atom.t list -> Atom.t list * Variable.t Variable.Map.t
 (** The canonical conjunction together with the renaming from the original
     variables to the canonical ones, so a cached artifact built from the
     canonical atoms (e.g. a frozen chase) can be translated back to any
-    conjunction sharing the same {!body_key}.  Above {!exact_limit} the
+    conjunction sharing the same {!body_key}.  Above five atoms the
     atoms are returned sorted by printed form under the identity renaming —
     consistent with {!body_key}'s fallback. *)

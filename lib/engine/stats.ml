@@ -36,24 +36,6 @@ let create () =
     merge_time = 0.
   }
 
-let reset s =
-  s.probes <- 0;
-  s.scans <- 0;
-  s.fired <- 0;
-  s.rounds <- 0;
-  s.delta_facts <- 0;
-  s.memo_hits <- 0;
-  s.memo_misses <- 0;
-  s.snapshots <- 0;
-  s.delta_records <- 0;
-  s.compactions <- 0;
-  s.chunks <- 0;
-  s.chunks_stolen <- 0;
-  s.chunk_items <- 0;
-  s.match_time <- 0.;
-  s.fire_time <- 0.;
-  s.merge_time <- 0.
-
 let copy s = { s with probes = s.probes }
 
 let add ~into s =

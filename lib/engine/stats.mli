@@ -38,7 +38,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 val copy : t -> t
 
 val add : into:t -> t -> unit
@@ -58,9 +57,5 @@ val global : unit -> t
 
 val hit_rate : t -> float
 (** [memo_hits / (memo_hits + memo_misses)]; 0 when no lookup happened. *)
-
-val mean_chunk_items : t -> float
-(** [chunk_items / chunks] — the mean cost-sized batch granularity actually
-    submitted; 0 when no parallel batch ran. *)
 
 val pp : t Fmt.t

@@ -61,8 +61,6 @@ let create config =
 
 let shutdown t = Pool.shutdown t.pool
 
-let queue_depth t = Atomic.get t.depth
-
 let add_stats t key provider =
   t.extra_stats <- t.extra_stats @ [ (key, provider) ]
 

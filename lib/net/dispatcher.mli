@@ -52,11 +52,5 @@ val add_stats : t -> string -> (unit -> Tgd_serve.Json.t) -> unit
     [stats] result — how the transport surfaces session counters that
     the dispatcher cannot see.  Call before serving traffic. *)
 
-val queue_depth : t -> int
-(** Requests currently between admission and response. *)
-
-val stats_json : t -> Tgd_serve.Json.t
-(** The [stats] op's result object (also usable for logging). *)
-
 val shutdown : t -> unit
 (** Stop and join the worker pool.  Idempotent. *)

@@ -88,22 +88,14 @@ val start : config -> Transport.addr -> t
     @raise Unix.Unix_error if the address cannot be bound.
     @raise Invalid_argument if [shards < 1]. *)
 
-val drain : t -> unit
-(** Begin graceful shutdown; returns immediately.  In-flight requests
-    finish writing, then shards get SIGTERM and drain their own
-    sessions. *)
-
-val wait : t -> int
-(** Block until fully drained: accept loop joined, router sessions
-    closed, every shard terminated and reaped, sockets unlinked.
-    Returns the process exit code (0). *)
-
 val stop : t -> int
-(** [drain] then [wait]. *)
+(** Graceful shutdown: in-flight requests finish writing, shards get
+    SIGTERM and drain their own sessions, then block until every shard
+    is reaped and the sockets are unlinked.  Returns the exit code (0). *)
 
 val serve : ?signals:bool -> config -> Transport.addr -> int
 (** [start], optionally (default) install SIGINT/SIGTERM drain handlers,
-    then {!wait}.  The blocking entry point behind
+    then block until drained as {!stop} does.  The blocking entry point behind
     [tgdtool serve --shards N]. *)
 
 (** {2 Introspection and drills} *)

@@ -52,21 +52,6 @@ val entail_workload : ?distinct:int -> unit -> int -> Tgd_serve.Json.t
 (** Entailment requests over a fixed transitive-ish sigma with
     [distinct] different chain-length goals — repeats warm the cache. *)
 
-val classify_workload : ?distinct:int -> unit -> int -> Tgd_serve.Json.t
-val mixed_workload : ?distinct:int -> unit -> int -> Tgd_serve.Json.t
-
-val rewrite_workload : ?tgds:string -> unit -> int -> Tgd_serve.Json.t
-(** [g2l] rewrite sweeps over [tgds] (surface syntax; default: a small
-    layered ontology).  Every request screens the same candidate space,
-    end-to-end checking that cost-based admission keeps certified
-    fixtures on the warm path — a spurious [overloaded] shed counts as
-    an error in the result. *)
-
-val batch_workload :
-  ?distinct:int -> ?batch:int -> unit -> int -> Tgd_serve.Json.t
-(** [batch] (default 8) mixed sub-requests per submission, exercising
-    the dispatcher's chunked batch path. *)
-
 val multi_workload :
   ?ontologies:int -> ?distinct:int -> unit -> int -> Tgd_serve.Json.t
 (** Entailment over [ontologies] (default 8) renamed copies of the

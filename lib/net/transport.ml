@@ -143,6 +143,11 @@ type session = {
 
 type handler = unit -> session
 
+(* {!Dispatcher.handle}, encoded: the handler of socket and stdio serving.
+   The session answers each line before it reads the next, so a connection
+   has at most one request in the dispatcher at a time and enters the
+   pool's FIFO queue once per request — the whole of the server's fairness
+   across connections. *)
 let dispatch d () =
   { respond = (fun _line req -> Json.to_string (Dispatcher.handle d req));
     close = ignore

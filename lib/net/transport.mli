@@ -53,7 +53,6 @@ val classify_session_exn : exn -> session_end
 type session_counters
 
 val fresh_session_counters : unit -> session_counters
-val count_session_end : session_counters -> session_end -> unit
 val session_counters_json : session_counters -> Tgd_serve.Json.t
 
 val idle_timeouts : session_counters -> int
@@ -75,25 +74,18 @@ type handler = unit -> session
     keeps its shard connections per session and forwards [line]
     verbatim. *)
 
-val dispatch : Dispatcher.t -> handler
-(** {!Dispatcher.handle}, encoded: the handler of socket and stdio
-    serving.  The session answers each line before it reads the next, so
-    a connection has at most one request in the dispatcher at a time and
-    enters the pool's FIFO queue once per request — the whole of the
-    server's fairness across connections. *)
-
 (** {2 Lifecycle} *)
 
 type t
 
 val start : config -> addr -> t
 (** Bind, create the worker pool ({!Dispatcher.create}), and serve
-    {!dispatch} sessions in background threads.  A pre-existing Unix
+    {!Dispatcher.handle} sessions in background threads.  A pre-existing Unix
     socket path is unlinked first.
     @raise Unix.Unix_error if the address cannot be bound. *)
 
 val stdio : config -> in_channel -> out_channel -> t
-(** One {!dispatch} session over a pair of channels ([tgdtool serve]
+(** One {!Dispatcher.handle} session over a pair of channels ([tgdtool serve]
     without [--socket]), with its own worker pool.  The lifecycle ends
     when the input reaches end-of-file, or on drain.  The channels stay
     the caller's: they are flushed, never closed. *)

@@ -1,18 +1,19 @@
 (* Cross-request warm state.
 
    The caches that make repeated traffic cheap are process-wide already:
-   the two-level entailment memo and the chase-result cache
-   ({!Tgd_chase.Entailment}, {!Tgd_chase.Chase}), the analyze reports
-   ({!Tgd_serve.Server.analyze_memo}) and the termination certificates
-   behind chase promotion ({!Tgd_chase.Chase.certificate_memos}).  This
-   module is the server-scope view over them: one switch that installs
-   an overall byte ceiling with LRU eviction across all of them, and one
-   set of counters the dispatcher surfaces in [stats] responses (and,
-   opt-in, per request).  Each table enforces its share independently,
-   so one hot workload cannot evict another table's entire working set.
-   The entailment side and the chase-result cache hold whole instances
-   and split most of the ceiling; the analyze reports (a string per
-   ontology) and the certificates (a bool per ontology) get a sliver. *)
+   the two-level entailment memo ({!Tgd_chase.Entailment}), the analyze
+   reports ({!Tgd_serve.Server.analyze_memo}) and the termination
+   certificates behind chase promotion
+   ({!Tgd_chase.Chase.certificate_memos}).  This module is the
+   server-scope view over them: one switch that installs an overall byte
+   ceiling with LRU eviction across all of them, and one set of counters
+   the dispatcher surfaces in [stats] responses (and, opt-in, per
+   request).  Each table enforces its share independently, so one hot
+   workload cannot evict another table's entire working set.  The
+   entailment memo holds whole instances and gets the largest share; the
+   analyze reports (a string per ontology) and the certificates (a bool
+   per ontology) get a sliver.  14/32 of the ceiling is assigned to no
+   table. *)
 
 module Memo = Tgd_engine.Memo
 module Json = Tgd_serve.Json
@@ -21,23 +22,21 @@ module Chase = Tgd_chase.Chase
 module Server = Tgd_serve.Server
 
 let configure ~cache_bytes =
-  (* shares in 32nds: 14 + 14 + 2 + 1 + 1 *)
+  (* shares in 32nds: 14 + 2 + 1 + 1; the other 14 are unassigned *)
   let share k = Option.map (fun b -> max 8192 (b / 32 * k)) cache_bytes in
   Entailment.set_cache_limit ~bytes:(share 14);
-  Chase.set_memo_limit ~bytes:(share 14);
   Memo.set_limit Server.analyze_memo ~bytes:(share 2);
   List.iter (fun m -> Memo.set_limit m ~bytes:(share 1)) Chase.certificate_memos
 
 let reset () =
   Entailment.clear_memos ();
   Chase.clear_memo ();
-  Memo.clear Server.analyze_memo;
-  List.iter Memo.clear Chase.certificate_memos
+  Memo.clear Server.analyze_memo
 
 let counters () =
   List.fold_left Memo.combine_counters
     (Memo.counters Server.analyze_memo)
-    (Entailment.cache_counters () :: Chase.memo_counters ()
+    (Entailment.cache_counters ()
     :: List.map Memo.counters Chase.certificate_memos)
 
 let counters_json (c : Memo.counters) =

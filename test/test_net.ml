@@ -43,7 +43,6 @@ let test_serve_tables_bounded () =
   let bound = 4 * 1024 * 1024 in
   let tables () =
     [ ("entailment", Tgd_chase.Entailment.cache_counters ());
-      ("chase results", Tgd_chase.Chase.memo_counters ());
       ("analyze", Memo.counters Server.analyze_memo)
     ]
     @ List.map
@@ -96,6 +95,84 @@ let test_serve_tables_bounded () =
           if c.Memo.entries > 0 then
             check_bool (name ^ " is weighed under the ceiling") true
               (c.Memo.bytes > 0))
+        (tables ()))
+
+(* Each serve-scope table keeps to its own share of the ceiling, in 32nds:
+   entailment 14, analyze 2, each termination-certificate memo 1 (the
+   other 14 are assigned to no table).  The traffic pushes the entailment,
+   analyze and lattice tables past their shares, so a split that handed a
+   table more than its share would show here as a footprint above it.  A
+   shard over its limit keeps only its newest entry, so the footprint may
+   exceed the share by what such an entry weighs beyond the shard's limit;
+   no entry here weighs 4 KiB. *)
+let test_serve_table_shares () =
+  let bound = 4 * 1024 * 1024 in
+  let tables () =
+    [ ("entailment", 14, Tgd_chase.Entailment.cache_counters ());
+      ("analyze", 2, Memo.counters Server.analyze_memo)
+    ]
+    @ List.map
+        (fun m -> (Memo.name m, 1, Memo.counters m))
+        Tgd_chase.Chase.certificate_memos
+  in
+  let filled = [ "entailment"; "analyze"; "termination-lattice" ] in
+  Warm.configure ~cache_bytes:(Some bound);
+  Fun.protect
+    ~finally:(fun () -> Warm.configure ~cache_bytes:None)
+    (fun () ->
+      let d =
+        Dispatcher.create
+          { Dispatcher.default_config with Dispatcher.workers = 1 }
+      in
+      Fun.protect
+        ~finally:(fun () -> Dispatcher.shutdown d)
+        (fun () ->
+          for i = 0 to 599 do
+            (* long relation names make every entry heavier, so fewer
+               requests overflow the shares *)
+            let e = Printf.sprintf "Edge_of_the_ontology_numbered_%d" i in
+            let s = Printf.sprintf "Source_of_the_ontology_numbered_%d" i in
+            let t = Printf.sprintf "Target_of_the_ontology_numbered_%d" i in
+            let tgds =
+              Printf.sprintf "%s(x,y) -> %s(y). %s(x) -> exists z. %s(x,z)." e s
+                s t
+            in
+            let goal =
+              Printf.sprintf
+                "%s(x1,x2), %s(x2,x3), %s(x3,x4), %s(x4,x5), %s(x5,x6) -> %s(x6)."
+                e e e e e s
+            in
+            List.iter
+              (fun extra ->
+                let resp =
+                  Dispatcher.handle d
+                    (Json.Obj
+                       ((("id", Json.Int i) :: ("tgds", Json.String tgds) :: extra)))
+                in
+                if not (get_ok resp) then
+                  Alcotest.failf "request failed: %s" (Json.to_string resp))
+              [ [ ("op", Json.String "analyze") ];
+                [ ("op", Json.String "entail"); ("goal", Json.String goal) ];
+                [ ("op", Json.String "chase");
+                  ("facts", Json.String (e ^ "(a,b)."));
+                  ("rounds", Json.Int 1)
+                ]
+              ]
+          done);
+      List.iter
+        (fun (name, k, c) ->
+          let share = bound / 32 * k in
+          let allowance =
+            Memo.shard_count * max 0 (4096 - (share / Memo.shard_count))
+          in
+          check_bool
+            (Printf.sprintf "%s footprint %d within its share %d" name
+               c.Memo.bytes share)
+            true
+            (c.Memo.bytes <= share + allowance);
+          if List.mem name filled then
+            check_bool (name ^ " was filled past its share") true
+              (c.Memo.evicted > 0))
         (tables ()))
 
 let test_memo_byte_ceiling () =
@@ -650,6 +727,7 @@ let suite =
   [ case "memo byte ceiling evicts LRU" test_memo_byte_ceiling;
     case "serve-scope tables share the cache ceiling"
       test_serve_tables_bounded;
+    case "each serve table keeps to its own share" test_serve_table_shares;
     case "admission predicts cost from static analysis"
       test_admission_predicts;
     case "admission sheds expensive work early" test_admission_sheds_by_cost;
