@@ -1014,9 +1014,8 @@ let serve_cmd =
           ~doc:"Ceiling on the shared warm caches, with LRU eviction; \
                 unlimited by default.  Each table keeps to its own share \
                 of $(docv): 14/32 to the entailment memo, 2/32 to the \
-                analyze reports and 1/32 to each of the two termination \
-                certificate caches; the remaining 14/32 is assigned to no \
-                table.")
+                analyze reports and 1/32 to the termination-lattice \
+                verdicts; the remaining 15/32 is assigned to no table.")
   in
   let max_line_bytes_arg =
     Arg.(

@@ -182,28 +182,23 @@ let deterministic_result r =
 (* what the Skolem-chase notions bound.                                *)
 (* ------------------------------------------------------------------ *)
 
-let cert_memo : bool Memo.t = Memo.create ~name:"termination-certs" ()
-let lattice_memo : bool Memo.t = Memo.create ~name:"termination-lattice" ()
-let certificate_memos = [ cert_memo; lattice_memo ]
+(* Only the restricted chase's lattice verdicts are cached: serving runs
+   that chase for every request, while the oblivious chase (CLI and tests
+   only) computes its WA/JA certificate when a round cap trips. *)
+let certificate_memo : bool Memo.t = Memo.create ~name:"termination-lattice" ()
 
-let clear_memo () = List.iter Memo.clear certificate_memos
+let clear_memo () = Memo.clear certificate_memo
 
 let certified_terminating sigma =
-  let key = Memo.sigma_key sigma in
-  match Memo.find cert_memo key with
-  | Some b -> b
-  | None ->
-    let b = Tgd_analysis.Termination.certificate sigma <> None in
-    Memo.add cert_memo key b;
-    b
+  Tgd_analysis.Termination.certificate sigma <> None
 
 let lattice_certified sigma =
   let key = Memo.sigma_key sigma in
-  match Memo.find lattice_memo key with
+  match Memo.find certificate_memo key with
   | Some b -> b
   | None ->
     let b = Tgd_analysis.Lattice.classify sigma <> None in
-    Memo.add lattice_memo key b;
+    Memo.add certificate_memo key b;
     b
 
 let with_promotion ~certified ~analyze ~budget ~rerun sigma r =

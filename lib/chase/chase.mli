@@ -75,14 +75,14 @@ val oblivious :
 (** Oblivious (naive) chase: every trigger fires exactly once.  [jobs],
     [chunk] and [analyze] as in {!restricted}. *)
 
-val certificate_memos : bool Tgd_engine.Memo.t list
-(** The per-ontology termination-certificate caches behind promotion
-    (the WA/JA front and the full lattice), keyed by
-    {!Tgd_engine.Memo.sigma_key}.  Exposed so a server can put them under
-    its cache ceiling. *)
+val certificate_memo : bool Tgd_engine.Memo.t
+(** The per-ontology termination-lattice verdicts behind the restricted
+    chase's promotion, keyed by {!Tgd_engine.Memo.sigma_key}.  Exposed so
+    a server can put it under its cache ceiling.  The oblivious chase's
+    WA/JA certificate is computed afresh when its round cap trips. *)
 
 val clear_memo : unit -> unit
-(** Drop every entry of the {!certificate_memos}.  Chase results
+(** Drop every entry of the {!certificate_memo}.  Chase results
     themselves are never cached here; {!Entailment} keeps the chases it
     reuses. *)
 

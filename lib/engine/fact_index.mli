@@ -1,30 +1,39 @@
-(** Per-relation hash indexes over facts, keyed on
-    (relation, position, constant), with insertion-round stamps.
+(** Per-run fact store over interned ids, with insertion-round stamps.
 
-    The index is the engine's single source of truth during saturation: a
-    fact inserted in round [r] carries the stamp [r], and every lookup can
-    be bounded by [?up_to] — so the same structure serves
+    The index is the engine's single source of truth during saturation.
+    Constants are interned into dense per-run ids ({!intern}, {!fresh}),
+    and each relation gets one record ({!relation}) holding its facts as
+    packed int tuples, [arity] ids per fact, numbered in insertion order.
+    A relation record carries
 
-    - snapshot semantics (round [r] matches only facts with stamp [< r]),
-    - delta extraction (facts with stamp exactly [r-1]), and
-    - activity checks against the live instance (no bound).
+    - an open-addressing table from int tuples to fact ids (membership and
+      stamps, no boxed key per lookup),
+    - int-keyed (position, constant id) buckets of fact ids, and
+    - the round stamp of every fact.
+
+    A fact inserted in round [r] carries the stamp [r], and every lookup is
+    bounded by [up_to] — so the same structure serves snapshot semantics
+    (round [r] matches only facts with stamp [< r]), delta extraction
+    (facts with stamp exactly [r-1], a contiguous range of fact ids) and
+    activity checks against the live instance (no bound).
 
     Buckets preserve insertion order (oldest first), keeping the engine
-    deterministic.  Lookups bump [probes] on the {!Stats.t} the index was
-    created with.
+    deterministic.  Lookups bump [probes] on the {!Stats.t} of the view
+    they go through.  A {!Fact.t} is built only on request ({!to_fact}),
+    at the engine's boundary.
 
     {b One layer, round barriers.}  Every fact lives in the same tables
     from the moment {!add} stamps it.  Inserts happen only in the
     engine's sequential fire phase, after a round's match tasks (which
     may run on pool workers) have all returned, so lookups never race a
-    bucket resize.  {!add} also queues the fact; {!commit}, at the round
-    barrier, hands the queue back in insertion order — flat and grouped
-    per relation, the grouping the next round's pivot tasks consume
-    directly. *)
+    resize.  {!commit}, at the round barrier, turns the facts added since
+    the previous commit into each relation's {!delta} range. *)
 
 open Tgd_syntax
 
 type t
+type rel
+(** One relation's record: shared by every {!with_stats} view. *)
 
 val create : ?stats:Stats.t -> unit -> t
 (** Fresh empty index.  [stats] defaults to a private throw-away record. *)
@@ -34,38 +43,67 @@ val with_stats : t -> Stats.t -> t
     used to give each parallel match task its own counter record while
     sharing the underlying tables (read-only during matching). *)
 
-val add : t -> round:int -> Fact.t -> bool
-(** Insert with stamp [round]; [false] when the fact is already present
-    (the index is unchanged — first stamp wins). *)
+(** {2 Interned constants} *)
 
-val commit : t -> Fact.t list * (Relation.t, Fact.t list) Hashtbl.t
-(** The round barrier: the facts added since the previous commit, as a
-    flat list in insertion order and grouped per relation (each group in
-    insertion order) — O(facts added).  The facts stay in the index; only
-    the queue is emptied.  Rounds must be committed in non-decreasing
-    order to keep bucket stamps monotone. *)
+val intern : t -> Constant.t -> int
+(** The id of a constant, assigning the next dense id on first sight. *)
 
-val mem : t -> Fact.t -> bool
-val round_of : t -> Fact.t -> int option
+val fresh : t -> Constant.t -> int
+(** A new id for a constant known to be absent from the index (a null the
+    engine has just invented).  It is not entered in the intern table, so
+    {!intern} must never be asked for it. *)
+
+val constant : t -> int -> Constant.t
+
+(** {2 Relations and facts} *)
+
+val relation : t -> Relation.t -> rel
+(** The record of a relation, created empty on first request. *)
+
+val find_relation : t -> Relation.t -> rel option
+
+val add : t -> rel -> round:int -> int array -> bool
+(** Insert the tuple with stamp [round]; [false] when it is already
+    present (the index is unchanged — first stamp wins).  The tuple is
+    copied, so the caller may reuse the array. *)
+
+val to_fact : t -> rel -> int array -> Fact.t
+(** The boundary {!Fact.t} of a tuple of ids. *)
+
+val arg : rel -> int -> int -> int
+(** [arg r id pos] is the constant id at position [pos] of fact [id]. *)
+
+val commit : t -> unit
+(** The round barrier: in every relation, the facts added since the
+    previous commit become its {!delta} — O(relations).  Rounds must be
+    committed in non-decreasing order to keep bucket stamps monotone. *)
+
+val delta : rel -> int * int
+(** [(lo, hi)]: the fact ids [lo ≤ id < hi] the last {!commit} handed
+    over, in insertion order. *)
+
 val fact_count : t -> int
 (** Number of facts in the index — O(1). *)
 
-val lookup : t -> ?up_to:int -> Relation.t -> pos:int -> Constant.t -> Fact.t Seq.t
-(** Facts [R(…,c,…)] with [c] at position [pos] and stamp [≤ up_to]
-    (default: no bound).  Counts as one probe. *)
+val mem_up_to : t -> rel -> up_to:int -> int array -> bool
+(** Membership of a ground tuple with stamp [≤ up_to] — the cheapest
+    possible probe for a fully bound atom, used so activity checks never
+    fall back to relation scans.  Counts as one probe. *)
 
-val all : t -> ?up_to:int -> Relation.t -> Fact.t Seq.t
-(** Every fact of the relation with stamp [≤ up_to].  Counts as one probe. *)
+val lookup : t -> rel -> up_to:int -> pos:int -> int -> int array * int
+(** [(ids, n)]: the facts with the given constant id at position [pos] and
+    stamp [≤ up_to] are [ids.(0) … ids.(n-1)], oldest first.  The array
+    is the bucket's own storage: read it before the next {!add}.  Counts
+    as one probe. *)
 
-val mem_up_to : t -> ?up_to:int -> Fact.t -> bool
-(** O(1) membership for a ground fact with stamp [≤ up_to] (default: no
-    bound) — the cheapest possible probe for a fully bound atom, used so
-    activity checks never fall back to relation scans.  Counts as one
+val all : t -> rel -> up_to:int -> int
+(** [n]: the facts of the relation with stamp [≤ up_to] are the ids
+    [0 … n-1].  Counts as one probe. *)
+
+val bucket_size : rel -> pos:int -> int -> int
+(** Size of the (position, constant id) bucket, ignoring stamps — the
+    selectivity estimate used to order joins.  Free: not counted as a
     probe. *)
 
-val bucket_size : t -> Relation.t -> pos:int -> Constant.t -> int
-(** Size of the (relation, position, constant) bucket — the selectivity
-    estimate used to order joins.  Free: not counted as a probe. *)
-
-val rel_size : t -> Relation.t -> int
+val rel_size : rel -> int
 (** Number of facts of the relation.  Not counted as a probe. *)

@@ -8,24 +8,45 @@
     pivot see only rounds [≤ r-2], atoms right of it rounds [≤ r-1] — the
     classic stratification, so no trigger is enumerated twice).
 
+    {b Compiled rules over interned ids.}  A run interns the input's
+    constants into dense ids ({!Fact_index}) and compiles each rule of Σ
+    into a slot plan: every variable becomes an index into a per-trigger
+    [int array] of constant ids, each body and head atom points at its
+    relation's index record, and the frontier and existential slots are
+    fixed once.  Matching and firing then work on ids, with callbacks
+    rather than sequences; a {!Fact.t} or {!Binding.t} is built only at the
+    boundary — the new facts (for the result and [on_commit]), and
+    [on_fire]'s payload when a caller passes [on_fire].
+
+    A rule is compiled when one of its match tasks is first built, on the
+    domain that submits the round, so a rule whose body never meets a fact
+    costs nothing to compile; the thousands of tiny entailment chases of a
+    rewriting sweep depend on this.  In round 1, a rule with a body atom
+    over an empty relation builds no task at all: it books exactly the one
+    probe the join would have spent finding that relation empty, so the
+    work counters are the same as for a full search.
+
     The restricted / oblivious semantics of [Chase] are preserved exactly:
 
     - [Restricted] rechecks trigger activity against the {e live} instance
       immediately before firing (activity is antitone in the instance, so
       skipping re-enumeration of old triggers loses nothing);
-    - [Oblivious] fires every trigger exactly once, identified by the same
-      (tgd, universal-variable binding) key as [Trigger.key];
+    - [Oblivious] fires every trigger exactly once, identified by the rule
+      and its universal binding, like [Trigger.key]: rules equal under
+      {!Tgd.equal} share their keys;
     - [Skolem] is the semi-oblivious chase: triggers are identified by the
-      (tgd, {e frontier} binding) key instead, so two body homomorphisms
+      (rule, {e frontier} binding) key instead, so two body homomorphisms
       agreeing on the frontier fire once between them.  The invented nulls
       then stand in bijection with the Skolem terms
       [f_{σ,z}(frontier values)] of the Skolemized rule set — this is the
       mode the critical-instance termination analysis
       ({!Tgd_analysis}'s MFA pass) drives.
 
-    Joins are ordered dynamically by index selectivity: at each step the
-    engine matches the pending atom whose tightest (relation, position,
-    constant) bucket is smallest. *)
+    Nulls are numbered per fired trigger in the order of the rule's
+    existential variables' names.  Joins are ordered dynamically by index
+    selectivity: at each step the engine matches the pending atom whose
+    tightest (position, constant) bucket is smallest, the earliest atom on
+    ties. *)
 
 open Tgd_syntax
 open Tgd_instance
@@ -71,7 +92,7 @@ val run :
     the tgd, its body homomorphism ({e before} null invention, as in
     [Chase]), and the grounded head facts (new or not).  [on_commit]
     observes every round barrier that commits: the round number and the
-    flat delta {!Fact_index.commit} returned (exactly the facts added to
+    round's flat delta (exactly the facts added to
     the instance this round, in insertion order — deterministic across
     [jobs]/[chunk]); rounds discarded by a match-phase trip or an injected
     fault are {e not} reported, matching the truncation commit rule below.
@@ -83,8 +104,8 @@ val run :
     order, so the outcome, trigger order, and stats totals are identical to
     the sequential run.  The fire phase is always sequential and linear in
     the facts it derives; each round ends with a {!Fact_index.commit}
-    barrier handing back the round's new facts (timed in
-    [Stats.merge_time]).
+    barrier turning the round's new facts into the next round's pivot
+    ranges (timed in [Stats.merge_time]).
 
     Budget checks are cooperative: the full check (clock, memory, fuel)
     runs at every round boundary, every 16th trigger of the fire phase, and

@@ -18,30 +18,52 @@ let match_atom binding atom fact =
   go 0 binding
 
 (* Greedy atom ordering: prefer atoms with many already-bound variables and
-   few candidate facts; dramatically narrows the backtracking tree. *)
+   few candidate facts (the earliest atom on ties); dramatically narrows
+   the backtracking tree.  Each atom's bound-variable count is kept up to
+   date as variables get bound, so a step costs a scan of integers. *)
 let order_atoms partial atoms inst =
   let arr = Array.of_list atoms in
-  let used = Array.make (Array.length arr) false in
-  let bound = ref (Binding.domain partial) in
-  let out = ref [] in
-  for _ = 1 to Array.length arr do
-    let score a =
-      let vs = Atom.vars a in
-      let bound_vars = Variable.Set.cardinal (Variable.Set.inter vs !bound) in
-      let candidates = Fact.Set.cardinal (Instance.facts_of inst (Atom.rel a)) in
-      (bound_vars, -candidates)
-    in
-    let best = ref (-1) in
-    Array.iteri
-      (fun idx a ->
-        if not used.(idx) then
-          if !best < 0 || score a > score arr.(!best) then best := idx)
-      arr;
-    if !best >= 0 then begin
-      used.(!best) <- true;
-      out := arr.(!best) :: !out;
-      bound := Variable.Set.union !bound (Atom.vars arr.(!best))
+  let n = Array.length arr in
+  let vars = Array.map Atom.var_list arr in
+  let candidates =
+    Array.map (fun a -> Fact.Set.cardinal (Instance.facts_of inst (Atom.rel a))) arr
+  in
+  let occurs : (Variable.t, int list) Hashtbl.t = Hashtbl.create 16 in
+  Array.iteri
+    (fun i vs ->
+      List.iter
+        (fun v ->
+          Hashtbl.replace occurs v
+            (i :: Option.value ~default:[] (Hashtbl.find_opt occurs v)))
+        vs)
+    vars;
+  let bound_vars = Array.make n 0 in
+  let bound : (Variable.t, unit) Hashtbl.t = Hashtbl.create 16 in
+  let bind v =
+    if not (Hashtbl.mem bound v) then begin
+      Hashtbl.add bound v ();
+      List.iter
+        (fun i -> bound_vars.(i) <- bound_vars.(i) + 1)
+        (Option.value ~default:[] (Hashtbl.find_opt occurs v))
     end
+  in
+  Variable.Set.iter bind (Binding.domain partial);
+  let used = Array.make n false in
+  let out = ref [] in
+  for _ = 1 to n do
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      if not used.(i) then
+        if
+          !best < 0
+          || bound_vars.(i) > bound_vars.(!best)
+          || bound_vars.(i) = bound_vars.(!best)
+             && candidates.(i) < candidates.(!best)
+        then best := i
+    done;
+    used.(!best) <- true;
+    out := arr.(!best) :: !out;
+    List.iter bind vars.(!best)
   done;
   List.rev !out
 
@@ -63,37 +85,36 @@ let find_hom ?partial atoms inst =
 let exists_hom ?partial atoms inst = find_hom ?partial atoms inst <> None
 
 (* Instance homomorphisms: encode adom(from) constants as variables and reuse
-   the query engine. *)
+   the query engine.  Each search names its variables in its own table, so
+   concurrent searches on pool workers never share one. *)
 
-let var_of_const =
-  let tbl : (Constant.t, Variable.t) Hashtbl.t = Hashtbl.create 64 in
-  fun c ->
-    match Hashtbl.find_opt tbl c with
-    | Some v -> v
-    | None ->
-      let v = Variable.make (Printf.sprintf "!c%d" (Hashtbl.length tbl)) in
-      Hashtbl.add tbl c v;
-      v
+let var_of_const tbl c =
+  match Hashtbl.find_opt tbl c with
+  | Some v -> v
+  | None ->
+    let v = Variable.make (Printf.sprintf "!c%d" (Hashtbl.length tbl)) in
+    Hashtbl.add tbl c v;
+    v
 
-let encode_instance fixed from =
+let encode_instance tbl fixed from =
   let atom_of_fact f =
     Atom.make_arr (Fact.rel f)
       (Array.map
          (fun c ->
            match Constant.Map.find_opt c fixed with
            | Some d -> Term.const d
-           | None -> Term.var (var_of_const c))
+           | None -> Term.var (var_of_const tbl c))
          (Fact.tuple_arr f))
   in
   List.map atom_of_fact (Instance.fact_list from)
 
-let decode fixed from binding =
+let decode tbl fixed from binding =
   Constant.Set.fold
     (fun c acc ->
       match Constant.Map.find_opt c fixed with
       | Some d -> Constant.Map.add c d acc
       | None -> (
-        match Binding.find (var_of_const c) binding with
+        match Binding.find (var_of_const tbl c) binding with
         | Some d -> Constant.Map.add c d acc
         | None -> acc))
     (Instance.adom from) Constant.Map.empty
@@ -109,9 +130,10 @@ let map_injective m =
     m
 
 let instance_homs ?(fixed = Constant.Map.empty) ?(injective = false) from into =
-  let atoms = encode_instance fixed from in
+  let tbl : (Constant.t, Variable.t) Hashtbl.t = Hashtbl.create 64 in
+  let atoms = encode_instance tbl fixed from in
   all_homs atoms into
-  |> Seq.map (decode fixed from)
+  |> Seq.map (decode tbl fixed from)
   |> Seq.filter (fun m -> (not injective) || map_injective m)
 
 let find_instance_hom ?fixed ?injective from into =

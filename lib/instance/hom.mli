@@ -14,11 +14,6 @@
 
 open Tgd_syntax
 
-val match_atom : Binding.t -> Atom.t -> Fact.t -> Binding.t option
-(** Extend a binding so that the atom grounds to exactly the given fact;
-    [None] on mismatch.  The unification kernel, exposed for engines that
-    drive their own fact iteration (e.g. semi-naive evaluation). *)
-
 val all_homs :
   ?partial:Binding.t -> Atom.t list -> Instance.t -> Binding.t Seq.t
 (** All extensions of [partial] mapping every variable of the atoms such that

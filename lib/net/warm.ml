@@ -2,18 +2,18 @@
 
    The caches that make repeated traffic cheap are process-wide already:
    the two-level entailment memo ({!Tgd_chase.Entailment}), the analyze
-   reports ({!Tgd_serve.Server.analyze_memo}) and the termination
-   certificates behind chase promotion
-   ({!Tgd_chase.Chase.certificate_memos}).  This module is the
+   reports ({!Tgd_serve.Server.analyze_memo}) and the termination-lattice
+   verdicts behind chase promotion
+   ({!Tgd_chase.Chase.certificate_memo}).  This module is the
    server-scope view over them: one switch that installs an overall byte
    ceiling with LRU eviction across all of them, and one set of counters
    the dispatcher surfaces in [stats] responses (and, opt-in, per
    request).  Each table enforces its share independently, so one hot
    workload cannot evict another table's entire working set.  The
    entailment memo holds whole instances and gets the largest share; the
-   analyze reports (a string per ontology) and the certificates (a bool
-   per ontology) get a sliver.  14/32 of the ceiling is assigned to no
-   table. *)
+   analyze reports (a string per ontology) and the lattice verdicts (a
+   bool per ontology) get a sliver.  15/32 of the ceiling is assigned to
+   no table. *)
 
 module Memo = Tgd_engine.Memo
 module Json = Tgd_serve.Json
@@ -22,11 +22,11 @@ module Chase = Tgd_chase.Chase
 module Server = Tgd_serve.Server
 
 let configure ~cache_bytes =
-  (* shares in 32nds: 14 + 2 + 1 + 1; the other 14 are unassigned *)
+  (* shares in 32nds: 14 + 2 + 1; the other 15 are unassigned *)
   let share k = Option.map (fun b -> max 8192 (b / 32 * k)) cache_bytes in
   Entailment.set_cache_limit ~bytes:(share 14);
   Memo.set_limit Server.analyze_memo ~bytes:(share 2);
-  List.iter (fun m -> Memo.set_limit m ~bytes:(share 1)) Chase.certificate_memos
+  Memo.set_limit Chase.certificate_memo ~bytes:(share 1)
 
 let reset () =
   Entailment.clear_memos ();
@@ -36,8 +36,7 @@ let reset () =
 let counters () =
   List.fold_left Memo.combine_counters
     (Memo.counters Server.analyze_memo)
-    (Entailment.cache_counters ()
-    :: List.map Memo.counters Chase.certificate_memos)
+    [ Entailment.cache_counters (); Memo.counters Chase.certificate_memo ]
 
 let counters_json (c : Memo.counters) =
   Json.Obj

@@ -11,9 +11,8 @@
 val configure : cache_bytes:int option -> unit
 (** Install (or with [None] remove) an overall byte ceiling with LRU
     eviction over every serve-scope table: 14/32 to the entailment
-    caches, 2/32 to the analyze reports, 1/32 to each
-    termination-certificate cache; the remaining 14/32 is assigned to no
-    table.  Changing the ceiling clears the tables (see
+    caches, 2/32 to the analyze reports, 1/32 to the termination-lattice
+    verdicts; the remaining 15/32 is assigned to no table.  Changing the ceiling clears the tables (see
     {!Tgd_engine.Memo.set_limit}). *)
 
 val reset : unit -> unit

@@ -16,91 +16,128 @@ let s = schema [ ("E", 2); ("P", 1); ("T", 1) ]
 let rel name = Option.get (Schema.find s name)
 let fact r cs = Fact.make (rel r) (List.map c cs)
 
+(* The index speaks interned ids: [tuple idx ["a"; "b"]] interns the
+   constants, and [facts_of idx r ids] reads facts back at the boundary. *)
+let tuple idx cs = Array.of_list (List.map (fun x -> Fact_index.intern idx (c x)) cs)
+let index_rel idx r = Fact_index.relation idx (rel r)
+
+let facts_of idx r ids =
+  let record = index_rel idx r in
+  List.map
+    (fun id ->
+      Fact_index.to_fact idx record
+        (Array.init (Relation.arity (rel r)) (Fact_index.arg record id)))
+    ids
+
+let range lo hi = List.init (hi - lo) (fun i -> lo + i)
+
+let facts_equal xs ys =
+  List.length xs = List.length ys && List.for_all2 Fact.equal xs ys
+
 let test_index_add_lookup () =
   let idx = Fact_index.create () in
-  check_bool "fresh insert" true (Fact_index.add idx ~round:0 (fact "E" [ "a"; "b" ]));
+  let e = index_rel idx "E" in
+  check_bool "fresh insert" true (Fact_index.add idx e ~round:0 (tuple idx [ "a"; "b" ]));
   check_bool "duplicate rejected" false
-    (Fact_index.add idx ~round:3 (fact "E" [ "a"; "b" ]));
-  check_int "first stamp wins" 0
-    (Option.get (Fact_index.round_of idx (fact "E" [ "a"; "b" ])));
-  ignore (Fact_index.add idx ~round:1 (fact "E" [ "a"; "c" ]));
-  ignore (Fact_index.add idx ~round:2 (fact "E" [ "b"; "c" ]));
+    (Fact_index.add idx e ~round:3 (tuple idx [ "a"; "b" ]));
+  check_bool "first stamp wins" true
+    (Fact_index.mem_up_to idx e ~up_to:0 (tuple idx [ "a"; "b" ]));
+  ignore (Fact_index.add idx e ~round:1 (tuple idx [ "a"; "c" ]));
+  ignore (Fact_index.add idx e ~round:2 (tuple idx [ "b"; "c" ]));
   check_int "fact count" 3 (Fact_index.fact_count idx);
-  let e = rel "E" in
-  check_int "bucket E(a,_)" 2
-    (List.length (List.of_seq (Fact_index.lookup idx e ~pos:0 (c "a"))));
-  check_int "bucket E(_,c)" 2
-    (List.length (List.of_seq (Fact_index.lookup idx e ~pos:1 (c "c"))));
-  check_int "empty bucket" 0
-    (List.length (List.of_seq (Fact_index.lookup idx e ~pos:0 (c "z"))))
+  let bucket pos x =
+    let ids, n = Fact_index.lookup idx e ~up_to:max_int ~pos (Fact_index.intern idx (c x)) in
+    facts_of idx "E" (List.init n (fun i -> ids.(i)))
+  in
+  check_bool "bucket E(a,_)" true
+    (facts_equal (bucket 0 "a") [ fact "E" [ "a"; "b" ]; fact "E" [ "a"; "c" ] ]);
+  check_bool "bucket E(_,c)" true
+    (facts_equal (bucket 1 "c") [ fact "E" [ "a"; "c" ]; fact "E" [ "b"; "c" ] ]);
+  check_int "empty bucket" 0 (List.length (bucket 0 "z"));
+  check_bool "interning is stable" true
+    (Constant.equal (c "a") (Fact_index.constant idx (Fact_index.intern idx (c "a"))))
 
 let test_index_round_bounds () =
   let idx = Fact_index.create () in
-  ignore (Fact_index.add idx ~round:0 (fact "E" [ "a"; "b" ]));
-  ignore (Fact_index.add idx ~round:1 (fact "E" [ "a"; "c" ]));
-  ignore (Fact_index.add idx ~round:2 (fact "E" [ "a"; "d" ]));
-  let e = rel "E" in
-  let count up_to =
-    List.length (List.of_seq (Fact_index.lookup idx ~up_to e ~pos:0 (c "a")))
-  in
+  let e = index_rel idx "E" in
+  ignore (Fact_index.add idx e ~round:0 (tuple idx [ "a"; "b" ]));
+  ignore (Fact_index.add idx e ~round:1 (tuple idx [ "a"; "c" ]));
+  ignore (Fact_index.add idx e ~round:2 (tuple idx [ "a"; "d" ]));
+  let a = Fact_index.intern idx (c "a") in
+  let count up_to = snd (Fact_index.lookup idx e ~up_to ~pos:0 a) in
   check_int "snapshot at 0" 1 (count 0);
   check_int "snapshot at 1" 2 (count 1);
   check_int "live view" 3 (count max_int);
-  check_int "rel_size ignores bounds" 3 (Fact_index.rel_size idx e);
-  check_int "selectivity estimate" 3 (Fact_index.bucket_size idx e ~pos:0 (c "a"))
+  check_int "relation snapshot at 1" 2 (Fact_index.all idx e ~up_to:1);
+  check_int "rel_size ignores bounds" 3 (Fact_index.rel_size e);
+  check_int "selectivity estimate" 3 (Fact_index.bucket_size e ~pos:0 a)
 
-(* The round barrier: [commit] must replay delta entries in exact
-   insertion order — the flat delta, the per-relation groups, and the
-   merged base buckets all read as if the facts had been inserted into a
-   single-layer index sequentially. *)
+(* The round barrier: [commit] hands each relation the facts added since
+   the previous commit as a range of fact ids in insertion order, and the
+   relation's facts read as if they had been inserted into an index that
+   never committed. *)
 let test_index_commit_insertion_order () =
   let fs =
     [ fact "E" [ "a"; "b" ]; fact "P" [ "a" ]; fact "E" [ "a"; "c" ];
       fact "T" [ "b" ]; fact "E" [ "b"; "c" ]; fact "P" [ "b" ] ]
   in
-  let facts_equal xs ys =
-    List.length xs = List.length ys && List.for_all2 Fact.equal xs ys
+  let add_all idx =
+    List.iter
+      (fun f ->
+        ignore
+          (Fact_index.add idx
+             (Fact_index.relation idx (Fact.rel f))
+             ~round:0
+             (Array.map (Fact_index.intern idx) (Fact.tuple_arr f))))
+      fs
+  in
+  let delta idx r =
+    let lo, hi = Fact_index.delta (index_rel idx r) in
+    facts_of idx r (range lo hi)
+  in
+  let all idx r =
+    facts_of idx r (range 0 (Fact_index.all idx (index_rel idx r) ~up_to:max_int))
   in
   let idx = Fact_index.create () in
-  List.iter (fun f -> ignore (Fact_index.add idx ~round:0 f)) fs;
-  let flat, by_rel = Fact_index.commit idx in
-  check_bool "flat delta in insertion order" true (facts_equal flat fs);
+  add_all idx;
+  Fact_index.commit idx;
   check_bool "E group in insertion order" true
-    (facts_equal
-       (Hashtbl.find by_rel (rel "E"))
+    (facts_equal (delta idx "E")
        [ fact "E" [ "a"; "b" ]; fact "E" [ "a"; "c" ]; fact "E" [ "b"; "c" ] ]);
   check_bool "P group in insertion order" true
-    (facts_equal (Hashtbl.find by_rel (rel "P"))
-       [ fact "P" [ "a" ]; fact "P" [ "b" ] ]);
-  (* merged buckets = a never-committed index fed the same sequence *)
+    (facts_equal (delta idx "P") [ fact "P" [ "a" ]; fact "P" [ "b" ] ]);
+  (* committed buckets = a never-committed index fed the same sequence *)
   let seq_idx = Fact_index.create () in
-  List.iter (fun f -> ignore (Fact_index.add seq_idx ~round:0 f)) fs;
-  let all i r = List.of_seq (Fact_index.all i (rel r)) in
+  add_all seq_idx;
   check_bool "merged E bucket = sequential" true
     (facts_equal (all idx "E") (all seq_idx "E"));
-  (* the next round's facts land in a fresh delta; lookups read base
-     entries first, then pending ones, preserving global insertion order *)
-  ignore (Fact_index.add idx ~round:1 (fact "E" [ "c"; "d" ]));
+  (* the next round's facts are visible at once and read after the
+     committed ones, preserving global insertion order *)
+  let e = index_rel idx "E" in
+  ignore (Fact_index.add idx e ~round:1 (tuple idx [ "c"; "d" ]));
   check_bool "pending fact visible before commit" true
-    (Fact_index.mem idx (fact "E" [ "c"; "d" ]));
+    (Fact_index.mem_up_to idx e ~up_to:max_int (tuple idx [ "c"; "d" ]));
   check_bool "base-then-delta preserves order" true
     (facts_equal (all idx "E")
        [ fact "E" [ "a"; "b" ]; fact "E" [ "a"; "c" ]; fact "E" [ "b"; "c" ];
          fact "E" [ "c"; "d" ] ]);
-  let flat2, _ = Fact_index.commit idx in
+  Fact_index.commit idx;
   check_bool "second commit carries only the new round" true
-    (facts_equal flat2 [ fact "E" [ "c"; "d" ] ]);
-  check_int "count spans both layers" 7 (Fact_index.fact_count idx)
+    (facts_equal (delta idx "E") [ fact "E" [ "c"; "d" ] ] && delta idx "P" = []);
+  check_int "count spans both rounds" 7 (Fact_index.fact_count idx)
 
 let test_index_counts_probes () =
   let stats = Stats.create () in
   let idx = Fact_index.create ~stats () in
-  ignore (Fact_index.add idx ~round:0 (fact "P" [ "a" ]));
-  let p = rel "P" in
-  ignore (List.of_seq (Fact_index.lookup idx p ~pos:0 (c "a")));
-  ignore (List.of_seq (Fact_index.all idx p));
-  ignore (Fact_index.bucket_size idx p ~pos:0 (c "a"));
-  check_int "two probes" 2 stats.Stats.probes
+  let p = index_rel idx "P" in
+  ignore (Fact_index.add idx p ~round:0 (tuple idx [ "a" ]));
+  let a = Fact_index.intern idx (c "a") in
+  ignore (Fact_index.lookup idx p ~up_to:max_int ~pos:0 a);
+  ignore (Fact_index.all idx p ~up_to:max_int);
+  ignore (Fact_index.bucket_size p ~pos:0 a);
+  check_int "two probes" 2 stats.Stats.probes;
+  check_bool "ground membership" true (Fact_index.mem_up_to idx p ~up_to:0 [| a |]);
+  check_int "a membership test is one probe" 3 stats.Stats.probes
 
 (* ---- Memo ---- *)
 
@@ -263,6 +300,70 @@ let test_head_outside_schema_raises () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* Each round hands [on_commit] the facts it derived in insertion order —
+   the order triggers fired in, not the instance's sorted order — which is
+   what keeps delta-log records byte-identical across engine changes. *)
+let test_commit_insertion_order () =
+  let sigma = [ tgd "P(x) -> T(x)."; tgd "P(x) -> E(x,x)." ] in
+  let db = inst ~schema:s "P(a). P(b)." in
+  let rounds = ref [] in
+  let on_commit ~round dflat = rounds := (round, dflat) :: !rounds in
+  let r = Seminaive.run ~mode:Seminaive.Restricted ~on_commit sigma db in
+  check_bool "terminated" true (r.Seminaive.outcome = Seminaive.Terminated);
+  match List.rev !rounds with
+  | [ (1, first); (2, []) ] ->
+    check_bool "flat delta in insertion order" true
+      (facts_equal first
+         [ fact "T" [ "a" ]; fact "T" [ "b" ]; fact "E" [ "a"; "a" ];
+           fact "E" [ "b"; "b" ] ])
+  | _ -> Alcotest.fail "expected one productive round and one empty one"
+
+(* ---- exact work counters at jobs 1 ---- *)
+
+(* fired / rounds / probes / scans.  These repeat exactly run to run, so a
+   change to matching, join order or activity checks that adds or saves a
+   single probe shows here, where a timing bound cannot see it. *)
+let counters (st : Stats.t) =
+  Printf.sprintf "fired %d, rounds %d, probes %d, scans %d" st.Stats.fired
+    st.Stats.rounds st.Stats.probes st.Stats.scans
+
+let check_counters name expected st =
+  Alcotest.(check string) name expected (counters st)
+
+let chase_counters ~copies ~depth ~chain =
+  let sigma = Families.layered_existential ~copies ~depth in
+  let db = Families.layered_instance ~copies ~depth ~chain in
+  let r = Chase.restricted sigma db in
+  check_bool "terminated" true (Chase.is_model r);
+  r.Chase.stats
+
+let test_counters_chase_layered () =
+  check_counters "copies 16, depth 4, chain 24"
+    "fired 4992, rounds 6, probes 7888, scans 4992"
+    (chase_counters ~copies:16 ~depth:4 ~chain:24);
+  check_counters "copies 2, depth 3, chain 6"
+    "fired 120, rounds 5, probes 200, scans 120"
+    (chase_counters ~copies:2 ~depth:3 ~chain:6)
+
+let test_counters_g_to_l () =
+  Entailment.clear_memos ();
+  Chase.clear_memo ();
+  let d = Tgd_core.Rewrite.default_config in
+  let config =
+    { d with
+      Tgd_core.Rewrite.caps =
+        { d.Tgd_core.Rewrite.caps with Tgd_core.Candidates.max_head_atoms = 1 }
+    }
+  in
+  match
+    Tgd_core.Rewrite.g_to_l ~config (Families.layered ~copies:4 ~depth:3)
+  with
+  | Budget.Complete report ->
+    check_counters "layered, copies 4, depth 3"
+      "fired 1224, rounds 488, probes 19668, scans 2532"
+      report.Tgd_core.Rewrite.stats
+  | Budget.Truncated _ -> Alcotest.fail "the sweep was truncated"
+
 (* ---- memoized entailment ---- *)
 
 let test_entailment_memo_hits () =
@@ -355,6 +456,123 @@ let prop_differential_mixed_qcheck =
       Hom.embeds_fixing fixed e.Chase.instance n.Chase.instance
       && Hom.embeds_fixing fixed n.Chase.instance e.Chase.instance)
 
+(* Slot-unification edge cases: a small variable pool repeats variables
+   inside atoms ([E(x,x)]), [Z] is 0-ary, and [U] never occurs in an input
+   (it may still be derived), so some rules start with an empty body
+   relation.  Bodies may be empty too. *)
+let s3 = Schema.of_pairs [ ("E", 2); ("P", 1); ("Z", 0); ("U", 1) ]
+let rels3 = Array.of_list (Schema.relations s3)
+
+let gen_edge_tgd ~existential : Tgd.t QCheck.Gen.t =
+ fun st ->
+  let atom pool =
+    let r = rels3.(Random.State.int st (Array.length rels3)) in
+    Atom.make r
+      (List.init (Relation.arity r) (fun _ ->
+           Term.var (List.nth pool (Random.State.int st (List.length pool)))))
+  in
+  let rec attempt () =
+    let body = List.init (Random.State.int st 3) (fun _ -> atom [ v "x"; v "y" ]) in
+    let universal = List.concat_map Atom.var_list body in
+    let pool =
+      if existential then v "w" :: universal
+      else if universal = [] then [ v "x" ]
+      else universal
+    in
+    let head = List.init (1 + Random.State.int st 2) (fun _ -> atom pool) in
+    match Tgd.make ~body ~head with
+    | t when existential || Variable.Set.is_empty (Tgd.existential_vars t) -> t
+    | _ -> attempt ()
+    | exception Invalid_argument _ -> attempt ()
+  in
+  attempt ()
+
+let gen_edge_instance : Instance.t QCheck.Gen.t =
+ fun st ->
+  let dom = [ c "a"; c "b"; c "c" ] in
+  let density = Random.State.float st 0.6 in
+  let keep f = if Random.State.float st 1.0 < density then [ f ] else [] in
+  let rel name = Option.get (Schema.find s3 name) in
+  Instance.of_facts s3
+    (keep (Fact.make (rel "Z") [])
+    @ List.concat_map (fun x -> keep (Fact.make (rel "P") [ x ])) dom
+    @ List.concat_map
+        (fun x -> List.concat_map (fun y -> keep (Fact.make (rel "E") [ x; y ])) dom)
+        dom)
+
+let arb_edge ~existential =
+  QCheck.make
+    ~print:(fun (sigma, i) ->
+      String.concat " ;; " (List.map Tgd.to_string sigma)
+      ^ " @ " ^ Instance.to_string i)
+    (QCheck.Gen.pair
+       (QCheck.Gen.list_size (QCheck.Gen.int_range 1 3) (gen_edge_tgd ~existential))
+       gen_edge_instance)
+
+let prop_edge_restricted_full =
+  QCheck.Test.make
+    ~name:"engine chase = naive chase (repeated vars, 0-ary, empty relations)"
+    ~count:200 (arb_edge ~existential:false) (fun (sigma, i) ->
+      let e = Chase.restricted sigma i in
+      let n = Chase.restricted ~naive:true sigma i in
+      Chase.is_model e && Chase.is_model n
+      && Instance.equal e.Chase.instance n.Chase.instance)
+
+let prop_edge_restricted_existential =
+  QCheck.Test.make
+    ~name:"engine chase ≈ naive chase (edge cases with existentials)" ~count:150
+    (arb_edge ~existential:true) (fun (sigma, i) ->
+      let budget = Budget.limits ~rounds:6 ~facts:2_000 in
+      let e = Chase.restricted ~budget sigma i in
+      let n = Chase.restricted ~naive:true ~budget sigma i in
+      QCheck.assume (Chase.is_model e && Chase.is_model n);
+      let fixed = Instance.adom i in
+      Hom.embeds_fixing fixed e.Chase.instance n.Chase.instance
+      && Hom.embeds_fixing fixed n.Chase.instance e.Chase.instance)
+
+(* Every trigger of a full Σ fires exactly once under the oblivious chase,
+   so [on_fire] must observe the same (rule, body homomorphism, head facts)
+   events on both paths, in whatever order. *)
+let prop_edge_on_fire =
+  let events run =
+    let seen = ref [] in
+    let on_fire tr facts =
+      seen :=
+        Fmt.str "%a | %a | %a" Tgd.pp tr.Trigger.tgd Binding.pp tr.Trigger.hom
+          Fmt.(list ~sep:(any " ") Fact.pp)
+          facts
+        :: !seen
+    in
+    let r = run on_fire in
+    (r, List.sort String.compare !seen)
+  in
+  QCheck.Test.make ~name:"on_fire: engine events = naive events (oblivious, full Σ)"
+    ~count:200 (arb_edge ~existential:false) (fun (sigma, i) ->
+      let e, ee = events (fun on_fire -> Chase.oblivious ~on_fire sigma i) in
+      let n, ne =
+        events (fun on_fire -> Chase.oblivious ~naive:true ~on_fire sigma i)
+      in
+      Chase.is_model e && Chase.is_model n
+      && e.Chase.fired = n.Chase.fired
+      && List.equal String.equal ee ne)
+
+(* Rules equal under [Tgd.equal] share fired keys: repeating rules of Σ
+   changes neither the facts, nor the nulls, nor the firing count of the
+   oblivious and Skolem chases. *)
+let prop_edge_duplicate_rules =
+  QCheck.Test.make ~name:"duplicate rules fire once (oblivious and Skolem)"
+    ~count:200 (arb_edge ~existential:true) (fun (sigma, i) ->
+      let doubled = sigma @ List.rev sigma in
+      let budget = Budget.limits ~rounds:4 ~facts:2_000 in
+      List.for_all
+        (fun mode ->
+          let a = Seminaive.run ~mode ~budget sigma i in
+          let b = Seminaive.run ~mode ~budget doubled i in
+          a.Seminaive.fired = b.Seminaive.fired
+          && a.Seminaive.outcome = b.Seminaive.outcome
+          && Instance.equal a.Seminaive.instance b.Seminaive.instance)
+        [ Seminaive.Oblivious; Seminaive.Skolem ])
+
 let suite =
   [ case "fact index: add and positional lookup" test_index_add_lookup;
     case "fact index: round-stamped snapshots" test_index_round_bounds;
@@ -376,10 +594,19 @@ let suite =
       test_dom_only_constant_survives;
     case "fire: head relation outside the schema raises"
       test_head_outside_schema_raises;
+    case "fire: on_commit hands facts over in insertion order"
+      test_commit_insertion_order;
+    case "counters: layered chases at jobs 1" test_counters_chase_layered;
+    case "counters: g_to_l on the layered family at jobs 1"
+      test_counters_g_to_l;
     case "entailment: renamed queries share one chase" test_entailment_memo_hits;
     case "entailment: candidates share a body chase"
       test_entailment_shared_body_chase;
     case "entailment: memo off matches naive" test_entailment_memo_off_matches;
     QCheck_alcotest.to_alcotest prop_differential_full_qcheck;
-    QCheck_alcotest.to_alcotest prop_differential_mixed_qcheck
+    QCheck_alcotest.to_alcotest prop_differential_mixed_qcheck;
+    QCheck_alcotest.to_alcotest prop_edge_restricted_full;
+    QCheck_alcotest.to_alcotest prop_edge_restricted_existential;
+    QCheck_alcotest.to_alcotest prop_edge_on_fire;
+    QCheck_alcotest.to_alcotest prop_edge_duplicate_rules
   ]

@@ -164,6 +164,44 @@ let test_witness_ok () =
     (Locality.witness_ok ~m:0 ~fixed:(Instance.adom k) ~witness
        ~target:(inst ~schema:s_e "E(a,b)."))
 
+(* ---- jobs independence ---- *)
+
+(* Witness checks on pool workers search instance homomorphisms
+   concurrently; each search must name its variables apart from every
+   other's, or two constants can share a variable and every later check
+   conflates them.  The verdicts, and the reported configuration, are the
+   sequential ones at any [jobs]. *)
+let test_jobs_independent () =
+  let same a b =
+    match (a, b) with
+    | Locality.Embeddable, Locality.Embeddable -> true
+    | Locality.No_witness x, Locality.No_witness y ->
+      Constant.Set.equal x.Locality.fixed y.Locality.fixed
+      && Instance.equal_facts x.Locality.sub y.Locality.sub
+    | _ -> false
+  in
+  let sym = Ontology.axiomatic s_e [ tgd "E(x,y) -> E(y,x)." ] in
+  let succ = Ontology.axiomatic s_e [ tgd "E(x,y) -> exists z. E(y,z)." ] in
+  let fixtures =
+    [ (o_g, Locality.Linear, 1, 0, i_sep);
+      (o_g, Locality.Plain, 2, 0, i_sep);
+      (o_f, Locality.Guarded, 2, 0, i_sep_f);
+      (o_f, Locality.Frontier_guarded, 2, 0, i_sep_f) ]
+    @ List.concat_map
+        (fun i ->
+          [ (sym, Locality.Plain, 2, 0, i); (sym, Locality.Linear, 2, 0, i);
+            (sym, Locality.Guarded, 2, 0, i); (succ, Locality.Plain, 2, 1, i) ])
+        (List.of_seq (Enumerate.instances_up_to s_e 2))
+  in
+  List.iter
+    (fun (o, variant, n, m, i) ->
+      let at jobs = Locality.locally_embeddable ~jobs variant ~n ~m o i in
+      let one = at 1 and two = at 2 in
+      if not (same one two) then
+        Alcotest.failf "%s (%d,%d)-embeddability of %a differs at jobs 2"
+          (Locality.variant_name variant) n m Instance.pp i)
+    fixtures
+
 let suite =
   [ case "§9.1: Σ_G linearly embeddable in I" test_separation_linear_embeddable;
     case "§9.1: Σ_G plainly not embeddable" test_separation_not_plain_embeddable;
@@ -176,5 +214,6 @@ let suite =
     case "refinement monotonicity" test_embeddability_monotonicity;
     case "configurations" test_configurations;
     case "guarded configs induced" test_guarded_configs_are_induced;
-    case "witness_ok" test_witness_ok
+    case "witness_ok" test_witness_ok;
+    case "embeddability is independent of jobs" test_jobs_independent
   ]

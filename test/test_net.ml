@@ -43,11 +43,10 @@ let test_serve_tables_bounded () =
   let bound = 4 * 1024 * 1024 in
   let tables () =
     [ ("entailment", Tgd_chase.Entailment.cache_counters ());
-      ("analyze", Memo.counters Server.analyze_memo)
+      ("analyze", Memo.counters Server.analyze_memo);
+      ( Memo.name Tgd_chase.Chase.certificate_memo,
+        Memo.counters Tgd_chase.Chase.certificate_memo )
     ]
-    @ List.map
-        (fun m -> (Memo.name m, Memo.counters m))
-        Tgd_chase.Chase.certificate_memos
   in
   Warm.configure ~cache_bytes:(Some bound);
   Fun.protect
@@ -98,8 +97,8 @@ let test_serve_tables_bounded () =
         (tables ()))
 
 (* Each serve-scope table keeps to its own share of the ceiling, in 32nds:
-   entailment 14, analyze 2, each termination-certificate memo 1 (the
-   other 14 are assigned to no table).  The traffic pushes the entailment,
+   entailment 14, analyze 2, the termination-lattice memo 1 (the other 15
+   are assigned to no table).  The traffic pushes the entailment,
    analyze and lattice tables past their shares, so a split that handed a
    table more than its share would show here as a footprint above it.  A
    shard over its limit keeps only its newest entry, so the footprint may
@@ -109,11 +108,11 @@ let test_serve_table_shares () =
   let bound = 4 * 1024 * 1024 in
   let tables () =
     [ ("entailment", 14, Tgd_chase.Entailment.cache_counters ());
-      ("analyze", 2, Memo.counters Server.analyze_memo)
+      ("analyze", 2, Memo.counters Server.analyze_memo);
+      ( Memo.name Tgd_chase.Chase.certificate_memo,
+        1,
+        Memo.counters Tgd_chase.Chase.certificate_memo )
     ]
-    @ List.map
-        (fun m -> (Memo.name m, 1, Memo.counters m))
-        Tgd_chase.Chase.certificate_memos
   in
   let filled = [ "entailment"; "analyze"; "termination-lattice" ] in
   Warm.configure ~cache_bytes:(Some bound);
