@@ -123,12 +123,17 @@ let relation idx r =
     idx.store.rel_list <- rel :: idx.store.rel_list;
     rel
 
+let relations idx = idx.store.rel_list
+let rel_relation r = r.relation
 let arg r id pos = r.data.((id * r.arity) + pos)
 let rel_size r = r.count
 let delta r = (r.delta_lo, r.delta_hi)
 
 let to_fact idx r tuple =
   Fact.make_arr r.relation (Array.map (constant idx) tuple)
+
+let fact idx r id =
+  Fact.make_arr r.relation (Array.init r.arity (fun p -> constant idx (arg r id p)))
 
 (* ---- the tuple table ---- *)
 
@@ -240,6 +245,8 @@ let rel_prefix rounds n up_to =
     done;
     !lo + 1
   end
+
+let derived r = (rel_prefix r.rounds r.count 0, r.count)
 
 let mem_up_to idx r ~up_to tuple =
   probe idx;

@@ -19,8 +19,10 @@
 
     Buckets preserve insertion order (oldest first), keeping the engine
     deterministic.  Lookups bump [probes] on the {!Stats.t} of the view
-    they go through.  A {!Fact.t} is built only on request ({!to_fact}),
-    at the engine's boundary.
+    they go through.  A {!Fact.t} is built only on request ({!to_fact},
+    {!fact}), at the engine's boundary: the engine materialises each
+    relation's {!derived} range once, after saturation, to build its
+    result.
 
     {b One layer, round barriers.}  Every fact lives in the same tables
     from the moment {!add} stamps it.  Inserts happen only in the
@@ -62,6 +64,11 @@ val relation : t -> Relation.t -> rel
 
 val find_relation : t -> Relation.t -> rel option
 
+val relations : t -> rel list
+(** Every relation record, newest first. *)
+
+val rel_relation : rel -> Relation.t
+
 val add : t -> rel -> round:int -> int array -> bool
 (** Insert the tuple with stamp [round]; [false] when it is already
     present (the index is unchanged — first stamp wins).  The tuple is
@@ -69,6 +76,9 @@ val add : t -> rel -> round:int -> int array -> bool
 
 val to_fact : t -> rel -> int array -> Fact.t
 (** The boundary {!Fact.t} of a tuple of ids. *)
+
+val fact : t -> rel -> int -> Fact.t
+(** [fact idx r id] is the boundary {!Fact.t} of fact [id]. *)
 
 val arg : rel -> int -> int -> int
 (** [arg r id pos] is the constant id at position [pos] of fact [id]. *)
@@ -81,6 +91,12 @@ val commit : t -> unit
 val delta : rel -> int * int
 (** [(lo, hi)]: the fact ids [lo ≤ id < hi] the last {!commit} handed
     over, in insertion order. *)
+
+val derived : rel -> int * int
+(** [(lo, hi)]: the facts with stamp [≥ 1] — everything a run derived
+    on top of its input — are the ids [lo ≤ id < hi].  Stamps are
+    monotone along ids, so this is a suffix of the relation.  Not counted
+    as a probe. *)
 
 val fact_count : t -> int
 (** Number of facts in the index — O(1). *)

@@ -368,8 +368,28 @@ let make_abort budget =
     if !n land 255 = 0 then Budget.check budget <> None
     else Budget.cancelled budget <> None
 
-let run ~mode ?(budget = Budget.default) ?on_fire
-    ?(on_commit = fun ~round:_ _ -> ()) ?pool ?chunk sigma inst =
+(* The result: the input plus each relation's derived range, and the
+   input's domain plus the nulls that landed in facts, [Null (base + 1)]
+   to [Null last]. *)
+let build_result idx inst ~base ~last =
+  let derived =
+    List.filter_map
+      (fun r ->
+        let lo, hi = Fact_index.derived r in
+        if lo = hi then None
+        else
+          let facts = List.init (hi - lo) (fun k -> Fact_index.fact idx r (lo + k)) in
+          Some (Fact_index.rel_relation r, Fact.Set.of_list facts))
+      (Fact_index.relations idx)
+  in
+  match derived with
+  | [] -> inst
+  | _ ->
+    let nulls = List.init (last - base) (fun k -> Constant.null (base + 1 + k)) in
+    Instance.extend inst ~nulls:(Constant.Set.of_list nulls) derived
+
+let run ~mode ?(budget = Budget.default) ?on_fire ?on_commit ?pool ?chunk sigma
+    inst =
   let stats = Stats.create () in
   let idx = Fact_index.create ~stats () in
   (* Rules are compiled when one of their tasks is first built, on this
@@ -466,23 +486,37 @@ let run ~mode ?(budget = Budget.default) ?on_fire
       false
     with Active -> true
   in
-  let initial_facts = Instance.fact_list inst in
+  let t_load = Unix.gettimeofday () in
+  (* the input, one relation at a time, through one reused tuple buffer *)
   List.iter
-    (fun f ->
-      ignore
-        (Fact_index.add idx
-           (Fact_index.relation idx (Fact.rel f))
-           ~round:0
-           (Array.map (Fact_index.intern idx) (Fact.tuple_arr f))))
-    initial_facts;
+    (fun rel ->
+      let facts = Instance.facts_of inst rel in
+      if not (Fact.Set.is_empty facts) then begin
+        let r = Fact_index.relation idx rel in
+        let buf = Array.make (Relation.arity rel) 0 in
+        Fact.Set.iter
+          (fun f ->
+            Array.iteri
+              (fun p c -> buf.(p) <- Fact_index.intern idx c)
+              (Fact.tuple_arr f);
+            ignore (Fact_index.add idx r ~round:0 buf))
+          facts
+      end)
+    (Schema.relations (Instance.schema inst));
   (* barrier 0: round 1 matches the input facts, not a delta *)
   Fact_index.commit idx;
-  (* facts derived so far, and in the current round, newest first; the
-     result instance is built from them once, after the loop *)
-  let added = ref [] and round_facts = ref [] in
-  let null_counter = ref (max_null inst) in
+  stats.Stats.build_time <- Unix.gettimeofday () -. t_load;
+  (* The result is built from the index after the loop.  Only [on_commit]
+     needs the round's new facts as a list (newest first); [on_fire]'s
+     facts are built for its call. *)
+  let round_facts = ref [] in
+  let base_null = max_null inst in
+  let null_counter = ref base_null in
+  (* the last null of a completed fire: an [on_fire] that halts after null
+     invention leaves nulls in no fact, and they stay out of the domain *)
+  let last_null = ref base_null in
   let fired_keys : unit Key_tbl.t = Key_tbl.create 256 in
-  let delta_size = ref (List.length initial_facts) in
+  let delta_size = ref (Fact_index.fact_count idx) in
   let round = ref 0 in
   let fired = ref 0 in
   let trip = ref None in
@@ -547,11 +581,14 @@ let run ~mode ?(budget = Budget.default) ?on_fire
       Array.iteri
         (fun h a ->
           if Fact_index.add idx a.rel ~round:!round tuples.(h) then begin
-            let f = match facts with Some fs -> fs.(h) | None -> to_fact h in
-            added := f :: !added;
-            round_facts := f :: !round_facts
+            incr delta_size;
+            if Option.is_some on_commit then
+              round_facts :=
+                (match facts with Some fs -> fs.(h) | None -> to_fact h)
+                :: !round_facts
           end)
         p.head;
+      last_null := !null_counter;
       (* the index holds the input facts too *)
       if Fact_index.fact_count idx > budget.Budget.max_facts then begin
         set_trip Budget.Facts;
@@ -585,18 +622,21 @@ let run ~mode ?(budget = Budget.default) ?on_fire
          (match Budget.cancelled budget with
          | Some r -> set_trip r
          | None ->
+           delta_size := 0;
            (try List.iter fire triggers with Exit -> ());
            let t2 = Unix.gettimeofday () in
            stats.Stats.fire_time <- stats.Stats.fire_time +. (t2 -. t1);
            (* round barrier: this round's facts become the next round's
               pivot ranges, and are handed back in insertion order *)
            Fact_index.commit idx;
-           let dflat = List.rev !round_facts in
-           round_facts := [];
            stats.Stats.merge_time <-
              stats.Stats.merge_time +. (Unix.gettimeofday () -. t2);
-           on_commit ~round:!round dflat;
-           delta_size := List.length dflat;
+           Option.iter
+             (fun f ->
+               let dflat = List.rev !round_facts in
+               round_facts := [];
+               f ~round:!round dflat)
+             on_commit;
            stats.Stats.delta_facts <- stats.Stats.delta_facts + !delta_size)
      done
    with Chaos.Injected site -> set_trip (Budget.Fault site));
@@ -609,11 +649,9 @@ let run ~mode ?(budget = Budget.default) ?on_fire
       else if some_active_trigger () then Truncated Budget.Rounds
       else Terminated
   in
-  let instance =
-    match !added with
-    | [] -> inst
-    | fs ->
-      Instance.union inst (Instance.of_facts (Instance.schema inst) (List.rev fs))
-  in
+  let t_build = Unix.gettimeofday () in
+  let instance = build_result idx inst ~base:base_null ~last:!last_null in
+  stats.Stats.build_time <-
+    stats.Stats.build_time +. (Unix.gettimeofday () -. t_build);
   Stats.add ~into:(Stats.global ()) stats;
   { instance; outcome; rounds = !round; fired = !fired; stats }

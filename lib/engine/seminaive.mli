@@ -15,8 +15,18 @@
     relation's index record, and the frontier and existential slots are
     fixed once.  Matching and firing then work on ids, with callbacks
     rather than sequences; a {!Fact.t} or {!Binding.t} is built only at the
-    boundary — the new facts (for the result and [on_commit]), and
-    [on_fire]'s payload when a caller passes [on_fire].
+    boundary.  With no hook, the fire phase only inserts id tuples into the
+    index; it builds a round's new facts as [Fact.t]s only for [on_commit],
+    and a fire's head facts and binding only for [on_fire].
+
+    {b The result is built from the index.}  The input is loaded one
+    relation at a time.  After the loop, each relation's derived range
+    ({!Fact_index.derived}, the facts with stamp [≥ 1]) becomes one
+    {!Fact.Set} and is joined to the input's set for that relation.  The
+    domain is the input's plus the nulls the run invented and placed in
+    facts; their numbers are consecutive, so no pass over the new facts'
+    constants is needed.  The nulls of a trigger whose [on_fire] raised
+    {!Halt} are never placed, and stay out of the domain.
 
     A rule is compiled when one of its match tasks is first built, on the
     domain that submits the round, so a rule whose body never meets a fact
@@ -97,7 +107,9 @@ val run :
     [jobs]/[chunk]); rounds discarded by a match-phase trip or an injected
     fault are {e not} reported, matching the truncation commit rule below.
     This is the hook incremental checkpoints ({!Delta_log}) are written
-    from.  When [pool] is
+    from.  Both hooks are optional, and only they make the fire phase
+    build {!Fact.t}s; passing them changes neither the result nor the
+    work counters.  When [pool] is
     given, each round's match phase runs its per-(tgd, pivot) tasks on the
     pool's worker domains ([chunk] tasks per claim, see
     {!Pool.parallel_map}); results and all counters are merged in task
@@ -105,7 +117,8 @@ val run :
     the sequential run.  The fire phase is always sequential and linear in
     the facts it derives; each round ends with a {!Fact_index.commit}
     barrier turning the round's new facts into the next round's pivot
-    ranges (timed in [Stats.merge_time]).
+    ranges (timed in [Stats.merge_time]).  Loading the input and building
+    the result are timed in [Stats.build_time].
 
     Budget checks are cooperative: the full check (clock, memory, fuel)
     runs at every round boundary, every 16th trigger of the fire phase, and

@@ -15,6 +15,7 @@ type t = {
   mutable match_time : float;
   mutable fire_time : float;
   mutable merge_time : float;
+  mutable build_time : float;
 }
 
 let create () =
@@ -33,7 +34,8 @@ let create () =
     chunk_items = 0;
     match_time = 0.;
     fire_time = 0.;
-    merge_time = 0.
+    merge_time = 0.;
+    build_time = 0.
   }
 
 let copy s = { s with probes = s.probes }
@@ -54,7 +56,8 @@ let add ~into s =
   into.chunk_items <- into.chunk_items + s.chunk_items;
   into.match_time <- into.match_time +. s.match_time;
   into.fire_time <- into.fire_time +. s.fire_time;
-  into.merge_time <- into.merge_time +. s.merge_time
+  into.merge_time <- into.merge_time +. s.merge_time;
+  into.build_time <- into.build_time +. s.build_time
 
 let diff a b =
   { probes = a.probes - b.probes;
@@ -72,7 +75,8 @@ let diff a b =
     chunk_items = a.chunk_items - b.chunk_items;
     match_time = a.match_time -. b.match_time;
     fire_time = a.fire_time -. b.fire_time;
-    merge_time = a.merge_time -. b.merge_time
+    merge_time = a.merge_time -. b.merge_time;
+    build_time = a.build_time -. b.build_time
   }
 
 (* One accumulator per domain: engine runs and memo accesses on a worker
@@ -97,7 +101,8 @@ let pp ppf s =
      pool: %d chunks (%d stolen, mean %.1f items/chunk)@,\
      recovery: %d snapshots written, %d delta records, \
      %d compactions@,\
-     time: %.4fs match + %.4fs fire + %.4fs barrier merge@]"
+     time: %.4fs match + %.4fs fire + %.4fs barrier merge + %.4fs load/build@]"
     s.probes s.scans s.fired s.rounds s.delta_facts s.memo_hits s.memo_misses
     (100. *. hit_rate s) s.chunks s.chunks_stolen (mean_chunk_items s)
     s.snapshots s.delta_records s.compactions s.match_time s.fire_time s.merge_time
+    s.build_time

@@ -2,7 +2,8 @@
 
     One mutable record accumulates the work performed by the saturation
     engine ({!Fact_index} probes, triggers scanned and fired, delta sizes,
-    wall time split into the matching and firing phases) and by the
+    wall time split into the match, fire, barrier-merge and load/build
+    phases, which together cover a whole run) and by the
     entailment memo ({!Memo} hits and misses).  Every engine run writes its
     own fresh record — surfaced through [Chase.result] — and additionally
     folds its counters into {!global}, so callers that orchestrate many runs
@@ -35,6 +36,9 @@ type t = {
   mutable fire_time : float;  (** seconds spent checking/firing/inserting *)
   mutable merge_time : float; (** seconds in round-barrier merges (batch
                                   joins, {!Fact_index} delta commits) *)
+  mutable build_time : float; (** seconds loading the input into the
+                                  {!Fact_index} and building the result
+                                  instance from it *)
 }
 
 val create : unit -> t

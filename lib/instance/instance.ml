@@ -53,6 +53,23 @@ let of_facts ?(dom = []) schema fact_list =
         groups Relation.Map.empty
   }
 
+(* Checked like [of_facts], at each relation's least fact; the constants
+   are the caller's promise, so no pass over them. *)
+let extend i ~nulls sets =
+  let by_rel =
+    List.fold_left
+      (fun acc (rel, s) ->
+        if Fact.Set.is_empty s then acc
+        else begin
+          check_fact i.schema (Fact.Set.min_elt s);
+          Relation.Map.update rel
+            (function None -> Some s | Some old -> Some (Fact.Set.union old s))
+            acc
+        end)
+      i.by_rel sets
+  in
+  { i with dom = Constant.Set.union i.dom nulls; by_rel }
+
 let schema i = i.schema
 let dom i = i.dom
 

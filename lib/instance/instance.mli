@@ -17,6 +17,14 @@ val of_facts : ?dom:Constant.t list -> Schema.t -> Fact.t list -> t
     domain extended with [dom].  Raises [Invalid_argument] if a fact uses a
     relation outside the schema. *)
 
+val extend : t -> nulls:Constant.Set.t -> (Relation.t * Fact.Set.t) list -> t
+(** [extend i ~nulls sets] adds each set to its relation's facts and
+    [nulls] to the domain, with no pass over the new facts' constants:
+    the caller guarantees that each of them is in [dom(i)] or in [nulls].
+    This is how the chase engine builds its result, whose only new
+    constants are the nulls it invented.  Raises [Invalid_argument] if a
+    relation is outside the schema. *)
+
 val add_fact : t -> Fact.t -> t
 val add_dom : t -> Constant.t -> t
 

@@ -141,6 +141,36 @@ let test_index_counts_probes () =
 
 (* ---- Memo ---- *)
 
+(* The facts a run derived on top of its input are a suffix of each
+   relation's ids, read without booking a probe — so reading it to build
+   the result cannot move the pinned work counters. *)
+let test_index_derived_range () =
+  let stats = Stats.create () in
+  let idx = Fact_index.create ~stats () in
+  let e = index_rel idx "E" and p = index_rel idx "P" in
+  ignore (Fact_index.add idx e ~round:0 (tuple idx [ "a"; "b" ]));
+  ignore (Fact_index.add idx e ~round:0 (tuple idx [ "b"; "c" ]));
+  Fact_index.commit idx;
+  check_bool "input only: empty derived range" true (Fact_index.derived e = (2, 2));
+  check_bool "empty relation: empty range" true (Fact_index.derived p = (0, 0));
+  ignore (Fact_index.add idx e ~round:1 (tuple idx [ "a"; "c" ]));
+  ignore (Fact_index.add idx e ~round:1 (tuple idx [ "a"; "b" ]));
+  ignore (Fact_index.add idx p ~round:2 (tuple idx [ "a" ]));
+  ignore (Fact_index.add idx e ~round:2 (tuple idx [ "c"; "d" ]));
+  let derived r =
+    let lo, hi = Fact_index.derived (index_rel idx r) in
+    List.map (Fact_index.fact idx (index_rel idx r)) (range lo hi)
+  in
+  check_bool "E: the suffix after the input, in insertion order" true
+    (Fact_index.derived e = (2, 4)
+    && facts_equal (derived "E") [ fact "E" [ "a"; "c" ]; fact "E" [ "c"; "d" ] ]);
+  check_bool "P: no input, so the whole relation" true
+    (Fact_index.derived p = (0, 1) && facts_equal (derived "P") [ fact "P" [ "a" ] ]);
+  let records = List.map Fact_index.rel_relation (Fact_index.relations idx) in
+  check_bool "relation records" true
+    (List.sort Relation.compare records = [ rel "E"; rel "P" ]);
+  check_int "reading the derived range books no probe" 0 stats.Stats.probes
+
 let test_memo_find_or_add () =
   let m : int Memo.t = Memo.create ~name:"t" () in
   let calls = ref 0 in
@@ -317,6 +347,39 @@ let test_commit_insertion_order () =
          [ fact "T" [ "a" ]; fact "T" [ "b" ]; fact "E" [ "a"; "a" ];
            fact "E" [ "b"; "b" ] ])
   | _ -> Alcotest.fail "expected one productive round and one empty one"
+
+(* With a hook, the fire phase builds each new fact; without one, it only
+   inserts ids.  A no-op [on_fire] and [on_commit] must change neither the
+   answer nor the work counters, also on a truncated run. *)
+let test_hooks_do_not_change_answer () =
+  let sigma = Families.layered_existential ~copies:2 ~depth:3 in
+  let db = Families.layered_instance ~copies:2 ~depth:3 ~chain:6 in
+  let work (st : Stats.t) =
+    Stats.(st.probes, st.scans, st.fired, st.rounds, st.delta_facts)
+  in
+  List.iter
+    (fun (mode, name) ->
+      List.iter
+        (fun (budget, bname) ->
+          let plain = Seminaive.run ~mode ~budget:(budget ()) sigma db in
+          let hooked =
+            Seminaive.run ~mode ~budget:(budget ())
+              ~on_fire:(fun _ _ _ -> ())
+              ~on_commit:(fun ~round:_ _ -> ())
+              sigma db
+          in
+          let what = name ^ ", " ^ bname in
+          check_bool (what ^ ": same outcome") true
+            (plain.Seminaive.outcome = hooked.Seminaive.outcome);
+          check_bool (what ^ ": same instance") true
+            (Instance.equal plain.Seminaive.instance hooked.Seminaive.instance);
+          check_bool (what ^ ": same work counters") true
+            (work plain.Seminaive.stats = work hooked.Seminaive.stats))
+        [ ((fun () -> Budget.default), "default budget");
+          ((fun () -> Budget.limits ~rounds:64 ~facts:100), "fact cap") ])
+    [ (Seminaive.Restricted, "restricted");
+      (Seminaive.Oblivious, "oblivious");
+      (Seminaive.Skolem, "Skolem") ]
 
 (* ---- exact work counters at jobs 1 ---- *)
 
@@ -573,12 +636,84 @@ let prop_edge_duplicate_rules =
           && Instance.equal a.Seminaive.instance b.Seminaive.instance)
         [ Seminaive.Oblivious; Seminaive.Skolem ])
 
+(* The result is the input plus exactly the facts the run inserted, and
+   its domain is the input's plus the constants of those facts: the nulls
+   of a trigger that never landed (an [on_fire] halting after null
+   invention) stay out.  Checked in every mode, at jobs 1 and 2, for
+   every way a run stops.  [on_fire] records the head facts of every fire
+   it lets through, which are the facts inserted plus some already
+   present; the same run without hooks must agree wherever its schedule
+   is deterministic (not under chaos at jobs 2). *)
+type stop = Saturate | Fact_cap | Fuel | Round_cap | Fire_fault | Halt_after_nulls
+
+let run_until stop ~k ~seed ~mode ~pool ~hooked sigma i =
+  let budget =
+    match stop with
+    | Fact_cap -> Budget.limits ~rounds:6 ~facts:(Instance.fact_count i + k)
+    | Fuel -> Budget.make ~rounds:6 ~facts:2_000 ~fuel:k ()
+    | Round_cap -> Budget.limits ~rounds:(1 + (k mod 2)) ~facts:2_000
+    | Saturate | Fire_fault | Halt_after_nulls -> Budget.limits ~rounds:6 ~facts:2_000
+  in
+  let recorded = ref Fact.Set.empty and fires = ref 0 in
+  let has_null f = Array.exists Constant.is_null (Fact.tuple_arr f) in
+  let on_fire _ _ facts =
+    if stop = Halt_after_nulls && !fires >= k && List.exists has_null facts then
+      raise Seminaive.Halt;
+    incr fires;
+    recorded := Fact.Set.union (Fact.Set.of_list facts) !recorded
+  in
+  let on_fire = if hooked then Some on_fire else None in
+  let go () = Seminaive.run ~mode ~budget ?pool ?on_fire sigma i in
+  let r =
+    if stop = Fire_fault then
+      Chaos.with_config { Chaos.default_config with Chaos.seed; raise_p = 0.15 } go
+    else go ()
+  in
+  (r, !recorded)
+
+let prop_result_from_index =
+  let exact_domain i r =
+    Constant.Set.equal (Instance.dom r)
+      (Constant.Set.union (Instance.dom i) (Instance.adom r))
+  in
+  let agrees stop ~k ~seed ~mode ~jobs sigma i =
+    let pool = if jobs = 1 then None else Some (Pool.warm ~jobs ()) in
+    let run = run_until stop ~k ~seed ~mode ~pool sigma i in
+    let r, recorded = run ~hooked:true in
+    let res = r.Seminaive.instance in
+    Fact.Set.equal (Instance.facts res) (Fact.Set.union (Instance.facts i) recorded)
+    && exact_domain i res
+    && (stop = Halt_after_nulls
+       ||
+       let p, _ = run ~hooked:false in
+       let plain = p.Seminaive.instance in
+       exact_domain i plain
+       && Instance.subset i plain
+       && ((stop = Fire_fault && jobs > 1)
+          || (p.Seminaive.outcome = r.Seminaive.outcome && Instance.equal plain res)))
+  in
+  QCheck.Test.make ~count:80
+    ~name:"result = input ∪ inserted facts, exact domain (every stop, jobs 1, 2)"
+    QCheck.(pair (arb_edge ~existential:true) (pair small_nat (int_range 0 4)))
+    (fun ((sigma, i), (seed, k)) ->
+      List.for_all
+        (fun stop ->
+          List.for_all
+            (fun mode ->
+              List.for_all
+                (fun jobs -> agrees stop ~k ~seed ~mode ~jobs sigma i)
+                [ 1; 2 ])
+            [ Seminaive.Restricted; Seminaive.Oblivious; Seminaive.Skolem ])
+        [ Saturate; Fact_cap; Fuel; Round_cap; Fire_fault; Halt_after_nulls ])
+
 let suite =
   [ case "fact index: add and positional lookup" test_index_add_lookup;
     case "fact index: round-stamped snapshots" test_index_round_bounds;
     case "fact index: commit replays insertion order"
       test_index_commit_insertion_order;
     case "fact index: probe accounting" test_index_counts_probes;
+    case "fact index: the derived range is a suffix read without probes"
+      test_index_derived_range;
     case "memo: find_or_add caches and counts" test_memo_find_or_add;
     case "memo: tgd keys collapse renamings" test_memo_tgd_key_renaming;
     case "memo: body keys collapse reorderings" test_memo_body_key;
@@ -596,6 +731,8 @@ let suite =
       test_head_outside_schema_raises;
     case "fire: on_commit hands facts over in insertion order"
       test_commit_insertion_order;
+    case "fire: hooks change neither the answer nor the counters"
+      test_hooks_do_not_change_answer;
     case "counters: layered chases at jobs 1" test_counters_chase_layered;
     case "counters: g_to_l on the layered family at jobs 1"
       test_counters_g_to_l;
@@ -608,5 +745,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_edge_restricted_full;
     QCheck_alcotest.to_alcotest prop_edge_restricted_existential;
     QCheck_alcotest.to_alcotest prop_edge_on_fire;
-    QCheck_alcotest.to_alcotest prop_edge_duplicate_rules
+    QCheck_alcotest.to_alcotest prop_edge_duplicate_rules;
+    QCheck_alcotest.to_alcotest prop_result_from_index
   ]
