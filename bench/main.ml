@@ -747,7 +747,7 @@ let e15 ~reps () =
       let t =
         cold (fun () ->
             Delta_log.remove cfg;
-            run_with (Some (Rewrite.start_log cfg)) every)
+            run_with (Some { Delta_log.log = cfg; resumed = None }) every)
       in
       Delta_log.remove cfg;
       let recs = ((Stats.global ()).Stats.delta_records - recs0) / reps in
@@ -781,7 +781,7 @@ let e15 ~reps () =
     let config =
       { base_config with
         Rewrite.budget = Budget.make ~fuel ();
-        checkpoint = Some (Rewrite.start_log log_cfg);
+        checkpoint = Some { Delta_log.log = log_cfg; resumed = None };
         checkpoint_every = 1
       }
     in
@@ -803,8 +803,8 @@ let e15 ~reps () =
         "  \"resume\": {\"cold_s\": %.6f, \"measured\": false}" cold_s
     | Some (fuel, truncated_s) ->
       let resumed =
-        match Rewrite.load_log log_cfg with
-        | Ok (Some r) -> r.Rewrite.rz_checkpoint
+        match Delta_log.load_journal ~decode:Rewrite.decode_chain log_cfg with
+        | Ok { Delta_log.resumed = Some r; _ } -> r.Delta_log.state
         | _ -> failwith "E15: truncated sweep left no loadable checkpoint"
       in
       Tgd_chase.Entailment.clear_memos ();

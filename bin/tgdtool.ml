@@ -135,19 +135,24 @@ let checkpoint_fsync_arg =
               delta appends, pointer switches).  Off by default: surviving \
               kill -9 needs no fsync, only power loss does.")
 
-(* Shared load-or-die for incremental chains.  [Ok None] starts fresh,
-   [Ok (Some r)] announces the resume on stderr (plus one warning line per
+(* The one load path for incremental chains.  Nothing on disk starts
+   fresh; a resume is announced on stderr (plus one warning line per
    degradation — a mid-chain corruption resumes from the verified prefix
-   instead of failing), [Error] prints every diagnosis and exits 4 —
-   a chain with no verifiable base must never silently masquerade as a
+   instead of failing); a rejected chain prints every diagnosis and exits
+   4 — a chain with no verifiable base must never silently masquerade as a
    fresh start. *)
-let load_delta_log ~path ~warnings_of load cfg =
-  match load cfg with
-  | Ok None -> None
-  | Ok (Some r) ->
-    Fmt.epr "resuming from checkpoint %s@." path;
-    List.iter (fun w -> Fmt.epr "checkpoint warning: %s@." w) (warnings_of r);
-    Some r
+let load_journal ~decode log =
+  match Tgd_engine.Delta_log.load_journal ~decode log with
+  | Ok j ->
+    Option.iter
+      (fun r ->
+        Fmt.epr "resuming from checkpoint %s@."
+          (Tgd_engine.Delta_log.current_path log);
+        List.iter
+          (fun w -> Fmt.epr "checkpoint warning: %s@." w)
+          r.Tgd_engine.Delta_log.warnings)
+      j.Tgd_engine.Delta_log.resumed;
+    j
   | Error messages ->
     List.iter (fun m -> Fmt.epr "checkpoint rejected: %s@." m) messages;
     exit 4
@@ -254,14 +259,10 @@ let chase_cmd =
             Tgd_chase.Chase.log_config ~keep:checkpoint_keep
               ~fsync:checkpoint_fsync ~dir ~name:"chase" ()
           in
-          let resume =
-            load_delta_log
-              ~path:(Tgd_engine.Delta_log.current_path log)
-              ~warnings_of:(fun r -> r.Tgd_chase.Chase.rz_warnings)
-              Tgd_chase.Chase.load_log log
-          in
           Tgd_chase.Chase.restricted_resumable ~budget ~jobs ?chunk
-            ?every:checkpoint_every ~log ?resume sigma db
+            ?every:checkpoint_every
+            ~journal:(load_journal ~decode:Tgd_chase.Chase.decode_chain log)
+            sigma db
         | None ->
           let chase =
             if oblivious then Tgd_chase.Chase.oblivious ?on_fire:None
@@ -360,34 +361,19 @@ let rewrite_cmd =
       naive jobs chunk no_analyze checkpoint_dir checkpoint_every
       checkpoint_keep checkpoint_fsync =
     let sigma = parse_tgds_file path in
-    let log =
+    let journal =
       Option.map
         (fun dir ->
-          Rewrite.log_config ~keep:checkpoint_keep ~fsync:checkpoint_fsync
-            ~dir
-            ~name:
-              (match direction with
-              | `G2l -> "rewrite-g2l"
-              | `Fg2g -> "rewrite-fg2g")
-            ())
+          load_journal ~decode:Rewrite.decode_chain
+            (Rewrite.log_config ~keep:checkpoint_keep ~fsync:checkpoint_fsync
+               ~dir
+               ~name:
+                 (match direction with
+                 | `G2l -> "rewrite-g2l"
+                 | `Fg2g -> "rewrite-fg2g")
+               ()))
         checkpoint_dir
     in
-    let resumed =
-      Option.bind log (fun cfg ->
-          load_delta_log
-            ~path:(Tgd_engine.Delta_log.current_path cfg)
-            ~warnings_of:(fun r -> r.Rewrite.rz_warnings)
-            Rewrite.load_log cfg)
-    in
-    let sink =
-      Option.map
-        (fun cfg ->
-          match resumed with
-          | Some r -> Rewrite.resume_log cfg r
-          | None -> Rewrite.start_log cfg)
-        log
-    in
-    let resume = Option.map (fun r -> r.Rewrite.rz_checkpoint) resumed in
     let config =
       Rewrite.
         { caps =
@@ -400,14 +386,14 @@ let rewrite_cmd =
           jobs;
           chunk;
           analyze = not no_analyze;
-          checkpoint = sink;
+          checkpoint = journal;
           checkpoint_every = Option.value checkpoint_every ~default:1
         }
     in
     let outcome =
       match direction with
-      | `G2l -> Rewrite.g_to_l ~config ?resume sigma
-      | `Fg2g -> Rewrite.fg_to_g ~config ?resume sigma
+      | `G2l -> Rewrite.g_to_l ~config sigma
+      | `Fg2g -> Rewrite.fg_to_g ~config sigma
     in
     let report = Tgd_engine.Budget.value outcome in
     Fmt.pr "n = %d, m = %d; %d candidates enumerated, %d entailed, %d \

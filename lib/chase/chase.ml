@@ -6,25 +6,17 @@ type budget = Budget.t
 
 let default_budget = Budget.default
 
-type outcome =
+type outcome = Seminaive.outcome =
   | Terminated
   | Truncated of Budget.exhaustion
 
-type result = {
+type result = Seminaive.result = {
   instance : Instance.t;
   outcome : outcome;
   rounds : int;
   fired : int;
   stats : Stats.t;
 }
-
-let rec max_null_in_const acc = function
-  | Constant.Null i -> max acc i
-  | Constant.Pair (a, b) -> max_null_in_const (max_null_in_const acc a) b
-  | Constant.Named _ | Constant.Indexed _ -> acc
-
-let max_null inst =
-  Constant.Set.fold (fun c acc -> max_null_in_const acc c) (Instance.dom inst) 0
 
 let fire ?(on_fire = fun _ _ -> ()) null_counter inst tr =
   let tgd = tr.Trigger.tgd in
@@ -53,7 +45,7 @@ let fire ?(on_fire = fun _ _ -> ()) null_counter inst tr =
 let run_naive ~recheck_active ~skip_fired ?(budget = default_budget) ?on_fire
     sigma inst =
   let stats = Stats.create () in
-  let null_counter = ref (max_null inst) in
+  let null_counter = ref (Seminaive.max_null inst) in
   let fired_keys : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   let current = ref inst in
   let rounds = ref 0 in
@@ -141,19 +133,8 @@ let run_engine ~mode ?(budget = default_budget) ?on_fire ~jobs ?chunk sigma
   in
   (* warm pool: saturation rounds (and repeated chases — screening runs
      thousands) reuse live domains instead of re-spawning per call *)
-  let r =
-    Pool.with_warm ~jobs (fun pool ->
-        Seminaive.run ~mode ~budget ?on_fire ?pool ?chunk sigma inst)
-  in
-  { instance = r.Seminaive.instance;
-    outcome =
-      (match r.Seminaive.outcome with
-      | Seminaive.Terminated -> Terminated
-      | Seminaive.Truncated reason -> Truncated reason);
-    rounds = r.Seminaive.rounds;
-    fired = r.Seminaive.fired;
-    stats = r.Seminaive.stats
-  }
+  Pool.with_warm ~jobs (fun pool ->
+      Seminaive.run ~mode ~budget ?on_fire ?pool ?chunk sigma inst)
 
 (* Whether a result is a function of the deterministic caps alone: complete
    runs and cap-truncated runs qualify; deadline-, memory-, fuel-,
@@ -289,41 +270,12 @@ let decode_chain (chain : Delta_log.chain) =
     { chk_instance = inst; chk_rounds = rounds; chk_fired = fired }
     chain.Delta_log.deltas
 
-type resumed = {
-  rz_checkpoint : checkpoint;
-  rz_chain : Delta_log.chain;
-  rz_warnings : string list;
-}
-
-let load_log cfg =
-  match Delta_log.load cfg with
-  | Delta_log.Fresh -> Ok None
-  | Delta_log.Rejected errs -> Error (List.map Delta_log.error_to_string errs)
-  | Delta_log.Resumed chain | Delta_log.Resumed_partial chain -> (
-    match decode_chain chain with
-    | cp ->
-      Ok
-        (Some
-           { rz_checkpoint = cp;
-             rz_chain = chain;
-             rz_warnings = chain.Delta_log.warnings
-           })
-    | exception (Wire.Corrupt m | Invalid_argument m) ->
-      (* CRC-valid bytes that do not decode: a format bug or a stale kind,
-         never a partial write — reject rather than guess *)
-      Error
-        [ Printf.sprintf "%s: undecodable checkpoint payload (%s)"
-            cfg.Delta_log.name m
-        ])
-
-(* Checkpointed restricted chase, rebuilt on the delta log: one engine run
-   whose round-barrier commits ({!Seminaive.run}'s [on_commit]) accumulate
-   into an append-only chain — a record every [every] committed rounds, a
-   compaction folding the chain into a fresh base every [compact_every]
-   records.  Appending a delta costs the bytes of that round's new facts,
-   not the whole instance, which is what makes fine-grained [every]
-   affordable (the old implementation re-seeded the engine per slice and
-   marshalled the full state each boundary).
+(* Checkpointed restricted chase: one engine run whose round-barrier
+   commits ({!Seminaive.run}'s [on_commit]) are journaled — a record every
+   [every] committed rounds, carrying only that span's new facts, which is
+   what makes fine-grained [every] affordable.  Every barrier commits, a
+   faulted round's included, so the chain always describes a state the
+   engine reached.
 
    A resumed run replays base + deltas to the exact committed state (same
    facts, same literal nulls) and continues the saturation from there; the
@@ -331,98 +283,59 @@ let load_log cfg =
    numbering and fresh-null naming after the resume point may differ from
    the uninterrupted run — the result is identical up to null renaming
    (isomorphism), which is all the chase ever promises.  Certificate-based
-   promotion is disabled, as before. *)
+   promotion is disabled. *)
 let restricted_resumable ?(budget = default_budget) ?(jobs = 1) ?chunk
-    ?(every = 8) ?(compact_every = 64) ~log ?resume sigma inst =
+    ?(every = 8) ~journal sigma inst =
   if every < 1 then
     invalid_arg "Chase.restricted_resumable: every must be >= 1";
-  if compact_every < 1 then
-    invalid_arg "Chase.restricted_resumable: compact_every must be >= 1";
-  let base_cp, handle =
-    match resume with
-    | Some r -> (r.rz_checkpoint, Delta_log.resume log r.rz_chain)
-    | None ->
-      let cp = { chk_instance = inst; chk_rounds = 0; chk_fired = 0 } in
-      (cp, Delta_log.start log ~base:(encode_base cp))
+  let start =
+    match journal.Delta_log.resumed with
+    | Some r -> r.Delta_log.state
+    | None -> { chk_instance = inst; chk_rounds = 0; chk_fired = 0 }
   in
-  let rounds0 = base_cp.chk_rounds and fired0 = base_cp.chk_fired in
-  let start_inst = base_cp.chk_instance in
-  let w = Codec.rel_writer (Instance.schema start_inst) in
-  (* the state the log encodes so far: base + every appended record *)
-  let mirror = ref start_inst in
-  let mirror_rounds = ref rounds0 in
-  let mirror_fired = ref fired0 in
-  let fired_live = ref 0 in
+  let log = Delta_log.open_journal journal ~base:(fun () -> encode_base start) in
+  let w = Codec.rel_writer (Instance.schema start.chk_instance) in
+  (* the state the chain encodes so far: base + every appended record *)
+  let journaled = ref start in
   let pending = ref [] (* committed rounds not yet appended, newest first *) in
   let pending_rounds = ref 0 in
   let flush ~rounds ~fired =
     let facts = List.concat (List.rev !pending) in
-    let rounds_span = rounds0 + rounds - !mirror_rounds in
-    let fired_span = fired0 + fired - !mirror_fired in
-    if rounds_span > 0 || fired_span > 0 || facts <> [] then begin
-      Delta_log.append handle
-        (encode_delta w ~rounds:rounds_span ~fired:fired_span facts);
-      mirror := List.fold_left Instance.add_fact !mirror facts;
-      mirror_rounds := !mirror_rounds + rounds_span;
-      mirror_fired := !mirror_fired + fired_span;
-      pending := [];
-      pending_rounds := 0;
-      if Delta_log.delta_count handle >= compact_every then
-        Delta_log.compact handle
-          ~base:
-            (encode_base
-               { chk_instance = !mirror;
-                 chk_rounds = !mirror_rounds;
-                 chk_fired = !mirror_fired
-               })
+    let j = !journaled in
+    let dr = start.chk_rounds + rounds - j.chk_rounds
+    and df = start.chk_fired + fired - j.chk_fired in
+    pending := [];
+    pending_rounds := 0;
+    if dr > 0 || df > 0 || facts <> [] then begin
+      journaled :=
+        { chk_instance = List.fold_left Instance.add_fact j.chk_instance facts;
+          chk_rounds = j.chk_rounds + dr;
+          chk_fired = j.chk_fired + df
+        };
+      Delta_log.record log (encode_delta w ~rounds:dr ~fired:df facts)
+        ~base:(fun () -> encode_base !journaled)
     end
   in
-  let on_commit ~round dflat =
-    pending := dflat :: !pending;
+  let on_commit ~round ~fired facts =
+    pending := facts :: !pending;
     incr pending_rounds;
-    if !pending_rounds >= every then flush ~rounds:round ~fired:!fired_live
+    if !pending_rounds >= every then flush ~rounds:round ~fired
   in
-  let on_fire _ _ _ = incr fired_live in
-  let eff_budget =
-    Budget.with_rounds budget (max 0 (budget.Budget.max_rounds - rounds0))
+  let budget =
+    Budget.with_rounds budget (max 0 (budget.Budget.max_rounds - start.chk_rounds))
   in
   let r =
     Pool.with_warm ~jobs (fun pool ->
-        Seminaive.run ~mode:Seminaive.Restricted ~budget:eff_budget ~on_fire
-          ~on_commit ?pool ?chunk sigma start_inst)
+        Seminaive.run ~mode:Seminaive.Restricted ~budget ~on_commit ?pool ?chunk
+          sigma start.chk_instance)
   in
-  let outcome =
-    match r.Seminaive.outcome with
-    | Seminaive.Terminated -> Terminated
-    | Seminaive.Truncated reason -> Truncated reason
-  in
-  (match outcome with
-  | Terminated ->
-    Delta_log.close handle;
-    Delta_log.remove log
-  | Truncated reason ->
+  (match r.outcome with
+  | Terminated -> Delta_log.finish log
+  | Truncated _ ->
     (* sync the chain to the exact result state before handing back *)
-    flush ~rounds:r.Seminaive.rounds ~fired:r.Seminaive.fired;
-    (match reason with
-    | Budget.Fault _ ->
-      (* an injected fault skips the round's barrier, so the engine may
-         have kept fire-phase facts no commit reported — diff them in *)
-      let missing =
-        Fact.Set.elements
-          (Fact.Set.diff
-             (Instance.facts r.Seminaive.instance)
-             (Instance.facts !mirror))
-      in
-      if missing <> [] then
-        Delta_log.append handle (encode_delta w ~rounds:0 ~fired:0 missing)
-    | _ -> ());
-    Delta_log.close handle);
-  { instance = r.Seminaive.instance;
-    outcome;
-    rounds = rounds0 + r.Seminaive.rounds;
-    fired = fired0 + r.Seminaive.fired;
-    stats = r.Seminaive.stats
-  }
+    flush ~rounds:r.rounds ~fired:r.fired;
+    Delta_log.close log);
+  { r with rounds = start.chk_rounds + r.rounds; fired = start.chk_fired + r.fired }
 
 let is_model r = r.outcome = Terminated
 

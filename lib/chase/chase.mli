@@ -25,7 +25,7 @@ type budget = Budget.t
 val default_budget : budget
 (** {!Tgd_engine.Budget.default}: 64 rounds, 20_000 facts, nothing else. *)
 
-type outcome =
+type outcome = Seminaive.outcome =
   | Terminated  (** no active trigger remains: the result is a model *)
   | Truncated of Budget.exhaustion
       (** a limit tripped; the result is a sound prefix of the chase, and
@@ -34,13 +34,14 @@ type outcome =
           at a wall-clock accident but still commit a prefix of the same
           deterministic firing sequence (independent of [jobs]). *)
 
-type result = {
+type result = Seminaive.result = {
   instance : Instance.t;
   outcome : outcome;
   rounds : int;    (** rounds actually performed *)
   fired : int;     (** triggers fired *)
   stats : Stats.t; (** engine counters for this run (also in Stats.global) *)
 }
+(** The engine's own result, shared by the reference loop. *)
 
 val restricted :
   ?naive:bool ->
@@ -91,7 +92,7 @@ type checkpoint = {
   chk_rounds : int;           (** rounds completed across all slices *)
   chk_fired : int;
 }
-(** On-disk chase state, persisted through the delta chain of
+(** On-disk chase state, journaled through a delta chain of
     {!log_config}: a base encoding of the whole state plus one record per
     checkpoint barrier. *)
 
@@ -102,50 +103,35 @@ val log_config :
   name:string ->
   unit ->
   Delta_log.config
-(** An incremental checkpoint log of kind ["chase-delta"] under [dir]: a
-    full base snapshot plus per-barrier delta records, compacted generationally
-    ([keep] retained, default 2).  [fsync] syncs every barrier (default
-    off — kill -9 does not need it). *)
+(** An incremental checkpoint log of kind ["chase-delta"] under [dir]
+    ([keep] generations retained after compaction, default 2).  [fsync]
+    syncs every barrier (default off — kill -9 does not need it). *)
 
-type resumed = {
-  rz_checkpoint : checkpoint;  (** base + verified deltas, replayed *)
-  rz_chain : Delta_log.chain;  (** where appends continue *)
-  rz_warnings : string list;
-      (** non-empty = degraded resume: records were lost to mid-chain
-          corruption or a generation fallback (callers should surface
-          these, then continue) *)
-}
-
-val load_log :
-  Delta_log.config -> (resumed option, string list) Stdlib.result
-(** Load and replay an incremental checkpoint chain.  [Ok None] — nothing
-    on disk, start fresh.  [Ok (Some r)] — resume from [r]; a torn final
-    record (the expected kill -9 signature) is dropped silently, while
-    mid-chain corruption surfaces in [rz_warnings] with the resume taken
-    from the last verifiable prefix.  [Error] — no generation yields a
-    verifiable base: surface the diagnoses, don't silently restart. *)
+val decode_chain : Delta_log.chain -> checkpoint
+(** Replay a loaded chain (base + verified deltas) to its state: the
+    [decode] to pass {!Delta_log.load_journal}.
+    @raise Wire.Corrupt on bytes that do not decode. *)
 
 val restricted_resumable :
   ?budget:budget ->
   ?jobs:int ->
   ?chunk:int ->
   ?every:int ->
-  ?compact_every:int ->
-  log:Delta_log.config ->
-  ?resume:resumed ->
+  journal:checkpoint Delta_log.journal ->
   Tgd.t list -> Instance.t -> result
 (** {!restricted} with incremental durable checkpoints: one engine run
-    whose round-barrier commits append delta records to [log] — one record
-    every [every] committed rounds (default 8; [every = 1] is affordable,
-    records cost only that span's new facts), folded into a fresh base
-    generation every [compact_every] records (default 64).  The log is
-    removed when the chase terminates; on truncation the chain is synced
-    to the exact returned state, so a killed or budget-tripped run resumes
-    from [load_log] via [?resume] instead of refiring from the input.
-    The budget governs the whole run across resumes ([rounds] counts
-    cumulatively); promotion ([analyze]) is disabled.  A
-    resumed run reaches the same saturation up to null renaming (the
-    engine's delta stratification restarts at the checkpoint). *)
+    whose round barriers are journaled — one record every [every]
+    committed rounds (default 8; [every = 1] is affordable, records cost
+    only that span's new facts), compacted by {!Delta_log.record}.  The
+    run resumes from the journal's loaded state when there is one, and
+    otherwise starts a fresh chain from the input.  The chain is removed
+    when the chase terminates; on truncation, a faulted round included, it
+    is synced to the exact returned state, so a killed or budget-tripped
+    run resumes from it instead of refiring from the input.  The budget
+    governs the whole run across resumes ([rounds] and [fired] count
+    cumulatively); promotion ([analyze]) is disabled.  A resumed run
+    reaches the same saturation up to null renaming (the engine's delta
+    stratification restarts at the checkpoint). *)
 
 val is_model : result -> bool
 (** [outcome = Terminated]. *)

@@ -135,8 +135,8 @@ let entails_memo ~naive ~budget ~analyze sigma s =
   match Memo.find memo_answers akey with
   | Some a -> a
   | None ->
-    let canonical_body, renaming = Memo.body_canonical (Tgd.body s) in
-    let ckey = Fmt.str "%s |> %s @ %s" skey (Memo.body_key (Tgd.body s)) bkey in
+    let canonical_body, renaming, body_key = Memo.body_canonical (Tgd.body s) in
+    let ckey = Fmt.str "%s |> %s @ %s" skey body_key bkey in
     let frozen_canonical, result =
       match Memo.find memo_chases ckey with
       | Some cached -> cached

@@ -9,6 +9,11 @@ module Delta_log = Tgd_engine.Delta_log
 module Wire = Tgd_engine.Wire
 module Codec = Tgd_engine.Codec
 
+type checkpoint = {
+  cursor : int;
+  screened_prefix : (Tgd.t * Entailment.answer) list;
+}
+
 type config = {
   caps : Candidates.caps;
   budget : Tgd_chase.Chase.budget;
@@ -18,7 +23,7 @@ type config = {
   jobs : int;
   chunk : int option;
   analyze : bool;
-  checkpoint : Delta_log.t option;
+  checkpoint : checkpoint Delta_log.journal option;
   checkpoint_every : int;
 }
 
@@ -56,11 +61,6 @@ let pp_outcome ppf = function
       (if unknown_candidates = 0 then ""
        else Printf.sprintf ", %d undecided candidates" unknown_candidates)
   | Unknown why -> Fmt.pf ppf "unknown: %s" why
-
-type checkpoint = {
-  cursor : int;
-  screened_prefix : (Tgd.t * Entailment.answer) list;
-}
 
 (* --- incremental checkpoint codec ------------------------------------- *)
 
@@ -113,38 +113,6 @@ let decode_chain (chain : Delta_log.chain) =
       chain.Delta_log.deltas
   in
   { cursor; screened_prefix = List.rev entries_rev }
-
-type resumed = {
-  rz_checkpoint : checkpoint;
-  rz_chain : Delta_log.chain;
-  rz_warnings : string list;
-}
-
-let load_log cfg =
-  match Delta_log.load cfg with
-  | Delta_log.Fresh -> Ok None
-  | Delta_log.Rejected errs -> Error (List.map Delta_log.error_to_string errs)
-  | Delta_log.Resumed chain | Delta_log.Resumed_partial chain -> (
-    match decode_chain chain with
-    | cp ->
-      Ok
-        (Some
-           { rz_checkpoint = cp;
-             rz_chain = chain;
-             rz_warnings = chain.Delta_log.warnings
-           })
-    | exception Wire.Corrupt m ->
-      Error
-        [ Printf.sprintf "%s: undecodable checkpoint payload (%s)"
-            cfg.Delta_log.name m
-        ])
-
-let start_log cfg = Delta_log.start cfg ~base:(encode_entries ~cursor:0 [])
-let resume_log cfg r = Delta_log.resume cfg r.rz_chain
-
-(* Delta records between compactions; past this the chain is folded into a
-   fresh base so replay work and retained bytes stay bounded. *)
-let compact_threshold = 64
 
 type report = {
   outcome : outcome;
@@ -209,6 +177,13 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
   let before = Stats.copy (Stats.global ()) in
   let schema = schema_of sigma in
   let n, m = class_bounds sigma in
+  let resume =
+    match (config.checkpoint, resume) with
+    | Some { Delta_log.resumed = Some r; _ }, None -> Some r.Delta_log.state
+    | Some { Delta_log.resumed = Some _; _ }, Some _ ->
+      invalid_arg "Rewrite: ?resume and a resumed journal are exclusive"
+    | _, resume -> resume
+  in
   let start, prefix =
     match resume with
     | Some cp -> (cp.cursor, cp.screened_prefix)
@@ -284,21 +259,26 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
      boundary, so a process killed mid-batch resumes exactly where an
      in-process truncation would have.  [persist] runs on the submitting
      domain only — workers never touch the chain. *)
+  let log =
+    Option.map
+      (fun j ->
+        Delta_log.open_journal j ~base:(fun () ->
+            encode_entries ~cursor:start prefix))
+      config.checkpoint
+  in
   let persisted = ref (List.length prefix) in
   let persist cp =
-    match config.checkpoint with
-    | None -> ()
-    | Some t ->
-      (* append only the entries committed since the last record — the
-         write cost is the batch, not the whole prefix *)
-      let fresh =
-        List.filteri (fun i _ -> i >= !persisted) cp.screened_prefix
-      in
-      Delta_log.append t (encode_entries ~cursor:cp.cursor fresh);
-      persisted := List.length cp.screened_prefix;
-      if Delta_log.delta_count t >= compact_threshold then
-        Delta_log.compact t
-          ~base:(encode_entries ~cursor:cp.cursor cp.screened_prefix)
+    Option.iter
+      (fun t ->
+        (* append only the entries committed since the last record — the
+           write cost is the batch, not the whole prefix *)
+        let fresh =
+          List.filteri (fun i _ -> i >= !persisted) cp.screened_prefix
+        in
+        persisted := List.length cp.screened_prefix;
+        Delta_log.record t (encode_entries ~cursor:cp.cursor fresh)
+          ~base:(fun () -> encode_entries ~cursor:cp.cursor cp.screened_prefix))
+      log
   in
   let run pool =
     let screened_rev = ref (List.rev prefix) in
@@ -332,7 +312,7 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
               rest := rest';
               incr since_save;
               if
-                Option.is_some config.checkpoint
+                Option.is_some log
                 && !since_save >= config.checkpoint_every
               then begin
                 since_save := 0;
@@ -376,6 +356,7 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
   let truncated ~phase reason =
     let cp = { cursor; screened_prefix = screened } in
     persist cp;
+    Option.iter Delta_log.close log;
     let partial =
       mk_report
         (Unknown
@@ -418,14 +399,11 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
            full checkpoint so a resume recomputes the tail phases *)
         let cp = { cursor; screened_prefix = screened } in
         persist cp;
+        Option.iter Delta_log.close log;
         let partial = mk_report outcome (Some cp) in
         Budget.Truncated { reason; partial; progress = partial.stats }
       | None ->
-        (match config.checkpoint with
-        | Some t ->
-          Delta_log.close t;
-          Delta_log.remove (Delta_log.config_of t)
-        | None -> ());
+        Option.iter Delta_log.finish log;
         Budget.Complete (mk_report outcome None)))
 
 let g_to_l ?config ?resume sigma =

@@ -24,6 +24,15 @@ open Tgd_syntax
 open Tgd_instance
 open Tgd_engine
 
+type checkpoint = {
+  cursor : int;
+      (** candidates consumed from the enumeration — always a batch
+          boundary, so resuming re-screens nothing twice *)
+  screened_prefix : (Tgd.t * Tgd_chase.Entailment.answer) list;
+      (** the (candidate, answer) pairs already committed, in enumeration
+          order *)
+}
+
 type config = {
   caps : Candidates.caps;
   budget : Tgd_chase.Chase.budget;
@@ -52,14 +61,15 @@ type config = {
           certificate-based promotion ({!Tgd_chase.Chase.restricted}).
           The outcome is unchanged either way — the prefilter only skips
           work the chase would have rejected. *)
-  checkpoint : Tgd_engine.Delta_log.t option;
-      (** persist the screening checkpoint to this delta chain at batch
-          boundaries, on truncation, and remove it on completion — so a
-          killed sweep resumes from disk.  Each save appends only the
-          entries committed since the last one; the chain is compacted
-          generationally.  [None] (default): no persistence.  Load the
-          state yourself ({!load_log}) and pass it as [?resume]; a
-          rejected load is an error to surface, not a fresh start. *)
+  checkpoint : checkpoint Tgd_engine.Delta_log.journal option;
+      (** journal the screening checkpoint to this delta chain
+          ({!Tgd_engine.Delta_log.load_journal} with {!decode_chain}) at
+          batch boundaries and on truncation, and remove it on completion
+          — so a killed sweep resumes from disk.  Each save appends only
+          the entries committed since the last one.  A journal that
+          resumed a chain supplies the resume point ([?resume] must then
+          be absent); a fresh one starts its chain at [?resume], or at
+          the empty sweep.  [None] (default): no persistence. *)
   checkpoint_every : int;
       (** committed batches between durable saves (default 1 = every
           batch).  Larger values trade re-screening after a crash for
@@ -75,15 +85,6 @@ type outcome =
 
 val pp_outcome : outcome Fmt.t
 
-type checkpoint = {
-  cursor : int;
-      (** candidates consumed from the enumeration — always a batch
-          boundary, so resuming re-screens nothing twice *)
-  screened_prefix : (Tgd.t * Tgd_chase.Entailment.answer) list;
-      (** the (candidate, answer) pairs already committed, in enumeration
-          order *)
-}
-
 val log_config :
   ?keep:int ->
   ?fsync:bool ->
@@ -95,28 +96,10 @@ val log_config :
     ([keep] generations retained after compaction, default 2; [fsync]
     syncs every barrier, default off). *)
 
-type resumed = {
-  rz_checkpoint : checkpoint;  (** base + verified deltas, replayed *)
-  rz_chain : Tgd_engine.Delta_log.chain;
-  rz_warnings : string list;
-      (** non-empty = degraded resume (mid-chain corruption or generation
-          fallback): surface, then continue from the verified prefix *)
-}
-
-val load_log :
-  Tgd_engine.Delta_log.config -> (resumed option, string list) Stdlib.result
-(** Load and replay an incremental sweep chain.  [Ok None] — nothing on
-    disk; [Ok (Some r)] — resume from [r] (a torn final record is dropped
-    silently, mid-chain damage lands in [rz_warnings]); [Error] — no
-    generation verifies. *)
-
-val start_log : Tgd_engine.Delta_log.config -> Tgd_engine.Delta_log.t
-(** Open a fresh chain (empty base) for a sweep starting from scratch. *)
-
-val resume_log :
-  Tgd_engine.Delta_log.config -> resumed -> Tgd_engine.Delta_log.t
-(** Reopen a loaded chain for appending (truncating any unverified
-    suffix); pair with [?resume:r.rz_checkpoint]. *)
+val decode_chain : Tgd_engine.Delta_log.chain -> checkpoint
+(** Replay a loaded sweep chain to its checkpoint: the [decode] to pass
+    {!Tgd_engine.Delta_log.load_journal}.
+    @raise Tgd_engine.Wire.Corrupt on bytes that do not decode. *)
 
 type report = {
   outcome : outcome;

@@ -555,9 +555,7 @@ let compact t ~base =
   let g = Stats.global () in
   g.Stats.compactions <- g.Stats.compactions + 1
 
-let delta_count t = t.count
 let generation t = t.gen
-let config_of t = t.cfg
 
 let close t =
   Option.iter close_out_noerr t.oc;
@@ -574,6 +572,49 @@ let remove c =
              log_path c ~generation:g
            ])
          (gens_on_disk c))
+
+(* ------------------------------------------------------------------ *)
+(* Journals: how a resumable run checkpoints                           *)
+(* ------------------------------------------------------------------ *)
+
+type 'state resumed = {
+  state : 'state;
+  chain : chain;
+  warnings : string list;
+}
+
+type 'state journal = { log : config; resumed : 'state resumed option }
+
+let load_journal ~decode c =
+  match load c with
+  | Fresh -> Ok { log = c; resumed = None }
+  | Rejected errs -> Error (List.map error_to_string errs)
+  | Resumed chain | Resumed_partial chain -> (
+    match decode chain with
+    | state ->
+      Ok { log = c; resumed = Some { state; chain; warnings = chain.warnings } }
+    | exception (Wire.Corrupt m | Invalid_argument m) ->
+      (* CRC-valid bytes that do not decode: a format bug or a stale kind,
+         never a partial write — reject rather than guess *)
+      Error
+        [ Printf.sprintf "%s: undecodable checkpoint payload (%s)" c.name m ])
+
+let open_journal j ~base =
+  match j.resumed with
+  | Some r -> resume j.log r.chain
+  | None -> start j.log ~base:(base ())
+
+(* Records per generation; past this the chain is folded into a fresh
+   base, so replay work and retained bytes stay bounded. *)
+let compact_threshold = 64
+
+let record t payload ~base =
+  append t payload;
+  if t.count >= compact_threshold then compact t ~base:(base ())
+
+let finish t =
+  close t;
+  remove t.cfg
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)

@@ -116,17 +116,61 @@ val compact : t -> base:string -> unit
     caller's encoding of the current full state), then prune old
     generations.  Equivalent to {!start} on the same handle. *)
 
-val delta_count : t -> int
-(** Records appended to the current generation (including loaded ones). *)
-
 val generation : t -> int
-val config_of : t -> config
 
 val close : t -> unit
 
 val remove : config -> unit
 (** Delete the pointer and every generation's files — call when the
     checkpointed computation completes, so a later run starts {!Fresh}. *)
+
+(** {1 Journals}
+
+    How a resumable run checkpoints, whatever its state: the caller brings
+    only its codec (encode the base, encode a record, decode a chain).
+    {!load_journal} finds what is on disk, {!open_journal} starts a fresh
+    chain or reopens the loaded one, {!record} appends (compacting at a
+    fixed threshold) and {!finish} removes the chain once the run
+    completes.  The chase ([Chase.restricted_resumable]) and the rewriting
+    sweeps ([Rewrite.g_to_l] and kin) both take a journal. *)
+
+type 'state resumed = {
+  state : 'state;  (** base + verified deltas, decoded *)
+  chain : chain;  (** where appends continue *)
+  warnings : string list;
+      (** non-empty = degraded resume: records were lost to mid-chain
+          corruption or a generation fallback (surface these, then
+          continue) *)
+}
+
+type 'state journal = {
+  log : config;
+  resumed : 'state resumed option;  (** [None]: start a fresh chain *)
+}
+
+val load_journal :
+  decode:(chain -> 'state) ->
+  config ->
+  ('state journal, string list) Stdlib.result
+(** The one chain loader.  [Ok] with [resumed = None] — nothing on disk,
+    start fresh; [Ok] with [Some r] — resume from [r] (a torn final record,
+    the kill -9 signature, is dropped silently; mid-chain corruption lands
+    in [r.warnings] with the resume taken from the last verifiable prefix);
+    [Error] — no generation yields a verifiable base, or the verified bytes
+    do not decode ([Wire.Corrupt] or [Invalid_argument] out of [decode]):
+    surface the diagnoses, don't silently restart. *)
+
+val open_journal : 'state journal -> base:(unit -> string) -> t
+(** Start or resume: {!resume} the loaded chain, or {!start} a fresh one
+    whose base is [base ()]. *)
+
+val record : t -> string -> base:(unit -> string) -> unit
+(** {!append} one record; once the generation holds 64 records, {!compact}
+    it into a fresh base [base ()] (the caller's encoding of the state the
+    chain now describes). *)
+
+val finish : t -> unit
+(** {!close} the handle and {!remove} its chain: the run completed. *)
 
 (** {1 Inspection} — used by [tgdtool checkpoint inspect]. *)
 

@@ -281,11 +281,13 @@ let sorted_fallback atoms =
   atoms |> List.map Atom.to_string |> List.sort String.compare
   |> String.concat " /\\ "
 
+(* One permutation search gives the canonical atoms, the renaming onto
+   them, and the key: the key is the canonical atoms' rendering. *)
 let body_canonical atoms =
   match atoms with
-  | [] -> ([], Variable.Map.empty)
+  | [] -> ([], Variable.Map.empty, "")
   | _ when List.length atoms <= exact_limit ->
-    let best =
+    let key, perm =
       Combinat.permutations atoms
       |> Seq.fold_left
            (fun acc perm ->
@@ -294,10 +296,10 @@ let body_canonical atoms =
              | Some (best, _) when String.compare best s <= 0 -> acc
              | _ -> Some (s, perm))
            None
+      |> Option.get
     in
-    let _, perm = Option.get best in
     let renaming = first_occurrence_renaming perm in
-    (List.map (Atom.rename renaming) perm, renaming)
+    (List.map (Atom.rename renaming) perm, renaming, key)
   | _ ->
     let sorted =
       List.sort (fun a b -> String.compare (Atom.to_string a) (Atom.to_string b))
@@ -311,22 +313,11 @@ let body_canonical atoms =
             map (Atom.var_list atom))
         Variable.Map.empty sorted
     in
-    (sorted, identity)
+    (sorted, identity, sorted_fallback sorted)
 
 let body_key atoms =
-  match atoms with
-  | [] -> ""
-  | _ when List.length atoms <= exact_limit ->
-    Combinat.permutations atoms
-    |> Seq.fold_left
-         (fun acc perm ->
-           let s = render_conjunction perm in
-           match acc with
-           | Some best when String.compare best s <= 0 -> acc
-           | _ -> Some s)
-         None
-    |> Option.get
-  | _ -> sorted_fallback atoms
+  let _, _, key = body_canonical atoms in
+  key
 
 (* Per-domain key cache: no locks, and physical-equality-friendly reuse
    within a domain covers the common sweep shapes. *)

@@ -97,10 +97,13 @@ val body_key : Atom.t list -> string
 (** Canonical key for a conjunction of atoms, stable under variable renaming
     and atom reordering (below five atoms). *)
 
-val body_canonical : Atom.t list -> Atom.t list * Variable.t Variable.Map.t
-(** The canonical conjunction together with the renaming from the original
-    variables to the canonical ones, so a cached artifact built from the
-    canonical atoms (e.g. a frozen chase) can be translated back to any
-    conjunction sharing the same {!body_key}.  Above five atoms the
-    atoms are returned sorted by printed form under the identity renaming —
-    consistent with {!body_key}'s fallback. *)
+val body_canonical :
+  Atom.t list -> Atom.t list * Variable.t Variable.Map.t * string
+(** The canonical conjunction, the renaming from the original variables
+    to the canonical ones, and the conjunction's {!body_key} (the
+    canonical atoms' rendering), all from one search over the atom
+    permutations.  A cached artifact built from the canonical atoms (e.g.
+    a frozen chase) can be translated back to any conjunction sharing the
+    key.  Above five atoms the atoms are returned sorted by printed form
+    under the identity renaming — consistent with {!body_key}'s
+    fallback. *)

@@ -623,7 +623,12 @@ let run ~mode ?(budget = Budget.default) ?on_fire ?on_commit ?pool ?chunk sigma
          | Some r -> set_trip r
          | None ->
            delta_size := 0;
-           (try List.iter fire triggers with Exit -> ());
+           (* a fault here still runs the barrier below, so the facts
+              the round inserted are committed and reported like any
+              other partial round's *)
+           (try List.iter fire triggers with
+            | Exit -> ()
+            | Chaos.Injected site -> set_trip (Budget.Fault site));
            let t2 = Unix.gettimeofday () in
            stats.Stats.fire_time <- stats.Stats.fire_time +. (t2 -. t1);
            (* round barrier: this round's facts become the next round's
@@ -635,7 +640,7 @@ let run ~mode ?(budget = Budget.default) ?on_fire ?on_commit ?pool ?chunk sigma
              (fun f ->
                let dflat = List.rev !round_facts in
                round_facts := [];
-               f ~round:!round dflat)
+               f ~round:!round ~fired:!fired dflat)
              on_commit;
            stats.Stats.delta_facts <- stats.Stats.delta_facts + !delta_size)
      done

@@ -87,11 +87,16 @@ type result = {
   stats : Stats.t;
 }
 
+val max_null : Instance.t -> int
+(** The largest null number in the instance's domain (nested in pairs
+    too), [0] when there is none; a run numbers its fresh nulls from the
+    next one up. *)
+
 val run :
   mode:mode ->
   ?budget:Budget.t ->
   ?on_fire:(Tgd.t -> Binding.t -> Fact.t list -> unit) ->
-  ?on_commit:(round:int -> Fact.t list -> unit) ->
+  ?on_commit:(round:int -> fired:int -> Fact.t list -> unit) ->
   ?pool:Pool.t ->
   ?chunk:int ->
   Tgd.t list ->
@@ -101,13 +106,14 @@ val run :
     (default {!Budget.default}).  [on_fire] observes every fired trigger —
     the tgd, its body homomorphism ({e before} null invention, as in
     [Chase]), and the grounded head facts (new or not).  [on_commit]
-    observes every round barrier that commits: the round number and the
-    round's flat delta (exactly the facts added to
-    the instance this round, in insertion order — deterministic across
-    [jobs]/[chunk]); rounds discarded by a match-phase trip or an injected
-    fault are {e not} reported, matching the truncation commit rule below.
-    This is the hook incremental checkpoints ({!Delta_log}) are written
-    from.  Both hooks are optional, and only they make the fire phase
+    observes every round barrier that commits: the round number, the
+    run's fired count so far, and the round's flat delta (exactly the
+    facts added to the instance this round, in insertion order —
+    deterministic across [jobs]/[chunk]).  Every fact the result adds to
+    the input is handed over exactly once, and the batch sizes sum to
+    [Stats.delta_facts]; rounds discarded by a match-phase trip are
+    {e not} reported, matching the truncation commit rule below.  This is
+    the hook incremental checkpoints ({!Delta_log}) are written from.  Both hooks are optional, and only they make the fire phase
     build {!Fact.t}s; passing them changes neither the result nor the
     work counters.  When [pool] is
     given, each round's match phase runs its per-(tgd, pivot) tasks on the
@@ -129,6 +135,7 @@ val run :
     round), while a trip during the always-sequential {e fire} phase keeps
     the facts fired so far — in both cases the partial instance is a prefix
     of the same deterministic chase sequence.  Injected faults
-    ({!Chaos.Injected}) are caught at this boundary and surface as
-    [Truncated (Fault site)].  The result's [stats] are also folded into
+    ({!Chaos.Injected}) surface as [Truncated (Fault site)] and follow the
+    same rule: one in the match phase drops the round, one in the fire
+    phase still runs the round's barrier.  The result's [stats] are also folded into
     the calling domain's {!Stats.global} accumulator. *)

@@ -3,6 +3,7 @@ open Tgd_instance
 module Budget = Tgd_engine.Budget
 module Chaos = Tgd_engine.Chaos
 module Memo = Tgd_engine.Memo
+module Delta_log = Tgd_engine.Delta_log
 module Chase = Tgd_chase.Chase
 module Entailment = Tgd_chase.Entailment
 module Rewrite = Tgd_core.Rewrite
@@ -121,41 +122,41 @@ let chase_op config req =
       (* Durable mid-request progress: the chain is keyed on the request
          content, so the retry ladder (and a restarted server receiving
          the same request again) resumes the chase instead of refiring it
-         from the input.  The chain is kept only across transient-fault
-         retries; any terminal response removes it. *)
+         from the input.  A chain outlives every fault, a retry-exhausted
+         [fault] response included, so a resend resumes too; a terminal
+         result, terminated or deterministically truncated, removes it. *)
       let name =
         "req-"
         ^ Digest.to_hex
             (Digest.string (tgds_src ^ "\x00" ^ get_string "facts" req))
       in
       let log = Chase.log_config ~dir ~name () in
-      let resume =
-        match Chase.load_log log with
-        | Ok v ->
+      let journal =
+        match Delta_log.load_journal ~decode:Chase.decode_chain log with
+        | Ok j ->
           Option.iter
             (fun r ->
               List.iter
                 (fun w -> Fmt.epr "serve: checkpoint warning: %s@." w)
-                r.Chase.rz_warnings)
-            v;
-          v
+                r.Delta_log.warnings)
+            j.Delta_log.resumed;
+          j
         | Error _ ->
           (* self-heal: a request checkpoint with no verifiable base is
              recoverable state, not client data — drop it and start over *)
-          Tgd_engine.Delta_log.remove log;
-          None
+          Delta_log.remove log;
+          { Delta_log.log; resumed = None }
       in
       let r =
         Chase.restricted_resumable ~budget ~every:config.checkpoint_every
-          ~log ?resume sigma db
+          ~journal sigma db
       in
       (match r.Chase.outcome with
-      | Chase.Truncated (Budget.Fault _) -> ()
+      | Chase.Truncated (Budget.Fault _) | Chase.Terminated -> ()
       | Chase.Truncated _ ->
         (* deterministic exhaustion: the truncated response is terminal,
            so the chain must not leak onto the next identical request *)
-        Tgd_engine.Delta_log.remove log
-      | Chase.Terminated -> ());
+        Delta_log.remove log);
       r
   in
   (match r.Chase.outcome with

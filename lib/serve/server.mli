@@ -34,9 +34,11 @@ type config = {
           under this directory ({!Tgd_chase.Chase.restricted_resumable}),
           keyed on the request content — a transient-fault retry (or a
           restarted server receiving the same request) resumes the chase
-          mid-request instead of refiring from the input.  Terminal
-          responses remove the chain; an unverifiable one is dropped and
-          the request starts over (self-heal — a request checkpoint is
+          mid-request instead of refiring from the input.  A terminal
+          result (terminated or deterministically truncated) removes the
+          chain; a [fault] response after the retries ran out keeps it,
+          so a resend resumes.  An unverifiable chain is dropped and the
+          request starts over (self-heal — a request checkpoint is
           recoverable state, not client data).  [None] (default): chases
           run in memory only. *)
   checkpoint_every : int;

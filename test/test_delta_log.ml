@@ -432,6 +432,10 @@ let prop_codec_mutation_total =
 
 (* -- chase over the chain ----------------------------------------------- *)
 
+let fresh_journal log = { Delta_log.log; resumed = None }
+
+let load_chase log = Delta_log.load_journal ~decode:Chase.decode_chain log
+
 let chase_fixture () =
   let sigma = Families.layered ~copies:2 ~depth:3 in
   let db = Families.layered_instance ~copies:2 ~depth:3 ~chain:6 in
@@ -449,31 +453,31 @@ let test_chase_truncate_resume_equals_cold () =
           let r1 =
             Chase.restricted_resumable
               ~budget:(Budget.make ~rounds:2 ())
-              ~jobs ~chunk ~every:1 ~compact_every:3 ~log sigma db
+              ~jobs ~chunk ~every:1 ~journal:(fresh_journal log) sigma db
           in
           check_bool "first run truncated" true
             (match r1.Chase.outcome with
             | Chase.Truncated _ -> true
             | Chase.Terminated -> false);
           (* the chain replays to exactly the state the run returned *)
-          let resumed =
-            match Chase.load_log log with
-            | Ok (Some r) -> r
-            | Ok None -> Alcotest.fail "truncated run must leave a chain"
+          let journal =
+            match load_chase log with
+            | Ok ({ Delta_log.resumed = Some _; _ } as j) -> j
+            | Ok _ -> Alcotest.fail "truncated run must leave a chain"
             | Error m -> Alcotest.fail (String.concat "; " m)
           in
+          let resumed = Option.get journal.Delta_log.resumed in
           check_bool "replay = returned instance" true
             (Instance.equal
-               resumed.Chase.rz_checkpoint.Chase.chk_instance
+               resumed.Delta_log.state.Chase.chk_instance
                r1.Chase.instance);
           check_int "replay rounds" r1.Chase.rounds
-            resumed.Chase.rz_checkpoint.Chase.chk_rounds;
+            resumed.Delta_log.state.Chase.chk_rounds;
           check_int "replay fired" r1.Chase.fired
-            resumed.Chase.rz_checkpoint.Chase.chk_fired;
-          check_bool "clean chain" true (resumed.Chase.rz_warnings = []);
+            resumed.Delta_log.state.Chase.chk_fired;
+          check_bool "clean chain" true (resumed.Delta_log.warnings = []);
           let r2 =
-            Chase.restricted_resumable ~jobs ~chunk ~every:1 ~compact_every:3
-              ~log ~resume:resumed sigma db
+            Chase.restricted_resumable ~jobs ~chunk ~every:1 ~journal sigma db
           in
           check_bool
             (Printf.sprintf "resumed = cold at jobs %d chunk %d" jobs chunk)
@@ -483,7 +487,7 @@ let test_chase_truncate_resume_equals_cold () =
             && r2.Chase.fired = cold.Chase.fired);
           (* a terminated resumable run removes its chain *)
           check_bool "chain removed on termination" true
-            (Chase.load_log log = Ok None)))
+            (load_chase log = Ok (fresh_journal log))))
     [ (1, 1); (1, 4); (1, 64); (2, 1); (2, 4); (2, 64) ]
 
 let test_chase_fuel_truncation_syncs_chain () =
@@ -497,18 +501,63 @@ let test_chase_fuel_truncation_syncs_chain () =
       let r =
         Chase.restricted_resumable
           ~budget:(Budget.make ~fuel:7 ())
-          ~every:2 ~log sigma db
+          ~every:2 ~journal:(fresh_journal log) sigma db
       in
       match r.Chase.outcome with
       | Chase.Terminated -> Alcotest.fail "fuel 7 must truncate this fixture"
       | Chase.Truncated _ -> (
-        match Chase.load_log log with
-        | Ok (Some resumed) ->
+        match load_chase log with
+        | Ok { Delta_log.resumed = Some resumed; _ } ->
           check_bool "chain replays the mid-round prefix" true
             (Instance.equal
-               resumed.Chase.rz_checkpoint.Chase.chk_instance
+               resumed.Delta_log.state.Chase.chk_instance
                r.Chase.instance)
         | _ -> Alcotest.fail "expected a loadable chain"))
+
+(* A chase of more rounds than a generation holds records (64): at
+   [every = 1] the chain compacts mid-run, and the replay of the compacted
+   chain is still the returned state, from which a resume reaches the cold
+   result. *)
+let test_chase_long_run_compacts () =
+  let n = 70 in
+  let sigma = tgds "E(x,y) -> T(x,y). T(x,y), E(y,z) -> T(x,z)." in
+  let db =
+    inst ~schema:(schema [ ("E", 2); ("T", 2) ])
+      (String.concat " "
+         (List.init n (fun i -> Printf.sprintf "E(c%d,c%d)." i (i + 1))))
+  in
+  let budget = Budget.make ~rounds:200 () in
+  let cold = Chase.restricted ~analyze:false ~budget sigma db in
+  check_bool "cold run needs more than 65 rounds" true (cold.Chase.rounds > 65);
+  let log = Chase.log_config ~dir:(fresh_dir ()) ~name:"long" () in
+  Fun.protect
+    ~finally:(fun () -> Delta_log.remove log)
+    (fun () ->
+      let compactions0 = (Stats.global ()).Stats.compactions in
+      let r1 =
+        Chase.restricted_resumable ~budget:(Budget.make ~rounds:66 ()) ~every:1
+          ~journal:(fresh_journal log) sigma db
+      in
+      check_bool "compacted mid-run" true
+        ((Stats.global ()).Stats.compactions > compactions0);
+      let journal =
+        match load_chase log with
+        | Ok ({ Delta_log.resumed = Some r; _ } as j) ->
+          check_bool "replay = returned instance" true
+            (Instance.equal r.Delta_log.state.Chase.chk_instance
+               r1.Chase.instance);
+          check_int "replay rounds" 66 r.Delta_log.state.Chase.chk_rounds;
+          check_bool "past the first generation" true
+            (r.Delta_log.chain.Delta_log.generation > 1);
+          j
+        | _ -> Alcotest.fail "truncated run must leave a chain"
+      in
+      let r2 = Chase.restricted_resumable ~budget ~every:1 ~journal sigma db in
+      check_bool "resumed = cold" true
+        (r2.Chase.outcome = Chase.Terminated
+        && Instance.equal r2.Chase.instance cold.Chase.instance);
+      check_bool "chain removed on termination" true
+        (load_chase log = Ok (fresh_journal log)))
 
 let prop_chase_chain_matrix =
   QCheck.Test.make
@@ -530,17 +579,17 @@ let prop_chase_chain_matrix =
               let r =
                 Chase.restricted_resumable
                   ~budget:(Budget.make ~rounds ())
-                  ~jobs ~chunk ~every:1 ~compact_every:2 ~log sigma db
+                  ~jobs ~chunk ~every:1 ~journal:(fresh_journal log) sigma db
               in
               match r.Chase.outcome with
-              | Chase.Terminated -> Chase.load_log log = Ok None
+              | Chase.Terminated -> load_chase log = Ok (fresh_journal log)
               | Chase.Truncated _ -> (
-                match Chase.load_log log with
-                | Ok (Some resumed) ->
+                match load_chase log with
+                | Ok { Delta_log.resumed = Some resumed; _ } ->
                   Instance.equal
-                    resumed.Chase.rz_checkpoint.Chase.chk_instance
+                    resumed.Delta_log.state.Chase.chk_instance
                     r.Chase.instance
-                  && resumed.Chase.rz_checkpoint.Chase.chk_rounds
+                  && resumed.Delta_log.state.Chase.chk_rounds
                      = r.Chase.rounds
                 | _ -> false)))
         [ (1, 1); (1, 4); (1, 64); (2, 1); (2, 4); (2, 64) ])
@@ -572,8 +621,7 @@ let test_rewrite_incremental_resume_equals_cold () =
             ~config:
               { config with
                 Rewrite.budget = Budget.make ~fuel ();
-                checkpoint =
-                  Some (Rewrite.start_log cfg);
+                checkpoint = Some (fresh_journal cfg);
                 checkpoint_every = 1
               }
             sigma
@@ -592,20 +640,78 @@ let test_rewrite_incremental_resume_equals_cold () =
       | Some _ -> ()
       | None -> Alcotest.fail "no fuel truncates this sweep mid-batch");
       let resumed =
-        match Rewrite.load_log cfg with
-        | Ok (Some r) -> r
+        match Delta_log.load_journal ~decode:Rewrite.decode_chain cfg with
+        | Ok { Delta_log.resumed = Some r; _ } -> r
         | _ -> Alcotest.fail "truncated sweep must leave a loadable chain"
       in
-      check_bool "clean chain" true (resumed.Rewrite.rz_warnings = []);
+      check_bool "clean chain" true (resumed.Delta_log.warnings = []);
       check_bool "cursor at a batch boundary" true
-        (resumed.Rewrite.rz_checkpoint.Rewrite.cursor > 0);
+        (resumed.Delta_log.state.Rewrite.cursor > 0);
       let r2 =
         Budget.value
           (Rewrite.fg_to_g ~config
-             ~resume:resumed.Rewrite.rz_checkpoint sigma)
+             ~resume:resumed.Delta_log.state sigma)
       in
       check_bool "resumed outcome = cold outcome" true
         (r2.Rewrite.outcome = cold.Rewrite.outcome))
+
+(* The disk path: the journal that resumed the chain goes in the config,
+   supplies the resume point and appends to the same chain, which the
+   completed sweep removes.  An in-memory [?resume] on top is refused. *)
+let test_rewrite_resumed_journal_completes () =
+  let sigma =
+    tgds "G(x,y), P(y) -> H(x). H(x) -> P(x). G(x,y) -> G(y,x)."
+  in
+  let config =
+    { Rewrite.default_config with
+      Rewrite.memo = false;
+      minimize = false;
+      chunk = Some 1
+    }
+  in
+  let cold = Budget.value (Rewrite.fg_to_g ~config sigma) in
+  let cfg = Rewrite.log_config ~dir:(fresh_dir ()) ~name:"sweep" () in
+  let load () = Delta_log.load_journal ~decode:Rewrite.decode_chain cfg in
+  Fun.protect
+    ~finally:(fun () -> Delta_log.remove cfg)
+    (fun () ->
+      let truncated =
+        Rewrite.fg_to_g
+          ~config:
+            { config with
+              Rewrite.budget = Budget.make ~fuel:240 ();
+              checkpoint = Some (fresh_journal cfg)
+            }
+          sigma
+      in
+      check_bool "fuel 240 truncates the sweep" true
+        (match truncated with
+        | Budget.Truncated _ -> true
+        | Budget.Complete _ -> false);
+      let journal =
+        match load () with
+        | Ok ({ Delta_log.resumed = Some _; _ } as j) -> j
+        | _ -> Alcotest.fail "truncated sweep must leave a loadable chain"
+      in
+      let cp = (Option.get journal.Delta_log.resumed).Delta_log.state in
+      check_bool "?resume with a resumed journal is refused" true
+        (match
+           Rewrite.fg_to_g
+             ~config:{ config with Rewrite.checkpoint = Some journal }
+             ~resume:cp sigma
+         with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      let r2 =
+        Budget.value
+          (Rewrite.fg_to_g
+             ~config:{ config with Rewrite.checkpoint = Some journal }
+             sigma)
+      in
+      check_bool "resumed outcome = cold outcome" true
+        (r2.Rewrite.outcome = cold.Rewrite.outcome);
+      check_bool "chain removed on completion" true
+        (load () = Ok (fresh_journal cfg)))
 
 let suite =
   [ case "wire: varint round-trip" test_varint_roundtrip;
@@ -629,7 +735,11 @@ let suite =
       test_chase_truncate_resume_equals_cold;
     case "chase: fuel trip syncs the chain mid-round"
       test_chase_fuel_truncation_syncs_chain;
+    case "chase: a 65+-round run compacts, replays and resumes"
+      test_chase_long_run_compacts;
     QCheck_alcotest.to_alcotest prop_chase_chain_matrix;
     case "rewrite: incremental sink resumes to the cold outcome"
-      test_rewrite_incremental_resume_equals_cold
+      test_rewrite_incremental_resume_equals_cold;
+    case "rewrite: a resumed journal completes and removes its chain"
+      test_rewrite_resumed_journal_completes
   ]

@@ -198,7 +198,7 @@ let test_memo_body_key () =
   let b = body (tgd "P(v), E(u,v) -> T(u).") in
   Alcotest.(check string)
     "reordered+renamed bodies share a key" (Memo.body_key a) (Memo.body_key b);
-  let canonical, renaming = Memo.body_canonical a in
+  let canonical, renaming, _ = Memo.body_canonical a in
   let renamed = List.map (Atom.rename renaming) a in
   check_bool "renaming rebuilds the canonical form (as a set)" true
     (Atom.Set.equal (Atom.Set.of_list canonical) (Atom.Set.of_list renamed))
@@ -337,7 +337,7 @@ let test_commit_insertion_order () =
   let sigma = [ tgd "P(x) -> T(x)."; tgd "P(x) -> E(x,x)." ] in
   let db = inst ~schema:s "P(a). P(b)." in
   let rounds = ref [] in
-  let on_commit ~round dflat = rounds := (round, dflat) :: !rounds in
+  let on_commit ~round ~fired:_ dflat = rounds := (round, dflat) :: !rounds in
   let r = Seminaive.run ~mode:Seminaive.Restricted ~on_commit sigma db in
   check_bool "terminated" true (r.Seminaive.outcome = Seminaive.Terminated);
   match List.rev !rounds with
@@ -365,7 +365,7 @@ let test_hooks_do_not_change_answer () =
           let hooked =
             Seminaive.run ~mode ~budget:(budget ())
               ~on_fire:(fun _ _ _ -> ())
-              ~on_commit:(fun ~round:_ _ -> ())
+              ~on_commit:(fun ~round:_ ~fired:_ _ -> ())
               sigma db
           in
           let what = name ^ ", " ^ bname in
@@ -643,7 +643,10 @@ let prop_edge_duplicate_rules =
    every way a run stops.  [on_fire] records the head facts of every fire
    it lets through, which are the facts inserted plus some already
    present; the same run without hooks must agree wherever its schedule
-   is deterministic (not under chaos at jobs 2). *)
+   is deterministic (not under chaos at jobs 2).  [on_commit] must be
+   handed every inserted fact, a faulted round's too: its batches add up
+   to the result and to [Stats.delta_facts], and the last barrier saw the
+   run's final fired count. *)
 type stop = Saturate | Fact_cap | Fuel | Round_cap | Fire_fault | Halt_after_nulls
 
 let run_until stop ~k ~seed ~mode ~pool ~hooked sigma i =
@@ -662,14 +665,28 @@ let run_until stop ~k ~seed ~mode ~pool ~hooked sigma i =
     incr fires;
     recorded := Fact.Set.union (Fact.Set.of_list facts) !recorded
   in
-  let on_fire = if hooked then Some on_fire else None in
-  let go () = Seminaive.run ~mode ~budget ?pool ?on_fire sigma i in
+  let committed = ref Fact.Set.empty and batches = ref 0 and last_fired = ref 0 in
+  let on_commit ~round:_ ~fired facts =
+    committed := Fact.Set.union (Fact.Set.of_list facts) !committed;
+    batches := !batches + List.length facts;
+    last_fired := fired
+  in
+  let on_fire, on_commit =
+    if hooked then (Some on_fire, Some on_commit) else (None, None)
+  in
+  let go () = Seminaive.run ~mode ~budget ?pool ?on_fire ?on_commit sigma i in
   let r =
     if stop = Fire_fault then
       Chaos.with_config { Chaos.default_config with Chaos.seed; raise_p = 0.15 } go
     else go ()
   in
-  (r, !recorded)
+  let commits_agree =
+    Fact.Set.equal (Instance.facts r.Seminaive.instance)
+      (Fact.Set.union (Instance.facts i) !committed)
+    && !batches = r.Seminaive.stats.Stats.delta_facts
+    && !last_fired = r.Seminaive.fired
+  in
+  (r, !recorded, commits_agree)
 
 let prop_result_from_index =
   let exact_domain i r =
@@ -679,13 +696,14 @@ let prop_result_from_index =
   let agrees stop ~k ~seed ~mode ~jobs sigma i =
     let pool = if jobs = 1 then None else Some (Pool.warm ~jobs ()) in
     let run = run_until stop ~k ~seed ~mode ~pool sigma i in
-    let r, recorded = run ~hooked:true in
+    let r, recorded, commits_agree = run ~hooked:true in
     let res = r.Seminaive.instance in
     Fact.Set.equal (Instance.facts res) (Fact.Set.union (Instance.facts i) recorded)
+    && commits_agree
     && exact_domain i res
     && (stop = Halt_after_nulls
        ||
-       let p, _ = run ~hooked:false in
+       let p, _, _ = run ~hooked:false in
        let plain = p.Seminaive.instance in
        exact_domain i plain
        && Instance.subset i plain

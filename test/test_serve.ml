@@ -228,6 +228,148 @@ let test_fault_then_retry_succeeds () =
      probability 2^-7; some ok must appear over 30 requests *)
   check_bool "retries rescued some requests" true (!oks > 0)
 
+(* -- per-request checkpoints (serve --checkpoint-dir) -------------------- *)
+
+(* A transitive closure over a path: a dozen rounds, one delta record per
+   round at [checkpoint_every = 1], and no nulls, so a resumed answer is
+   literally the cold one. *)
+let path_chase_request ?(extra = "") () =
+  Printf.sprintf
+    {| {"id": 1, "op": "chase", %s"tgds": "E(x,y) -> T(x,y). T(x,y), E(y,z) -> T(x,z).", "facts": "%s"} |}
+    extra
+    (String.concat " "
+       (List.init 12 (fun i -> Printf.sprintf "E(c%d,c%d)." i (i + 1))))
+
+let ckpt_counter = ref 0
+
+(* A fresh checkpoint directory, emptied and removed afterwards. *)
+let with_ckpt_dir f =
+  incr ckpt_counter;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tgd_serve_ckpt_%d_%d" (Unix.getpid ()) !ckpt_counter)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun name -> Delta_log.remove (Tgd_chase.Chase.log_config ~dir ~name ()))
+        (Delta_log.scan ~dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> f dir)
+
+let ckpt_config ?(retries = 10) dir =
+  { Server.default_config with
+    Server.checkpoint_dir = Some dir;
+    checkpoint_every = 1;
+    retries;
+    backoff_base_s = 1e-5
+  }
+
+let base_writes () = (Stats.global ()).Stats.snapshots
+
+let same_facts resp cold =
+  check_bool "ok" true (get_ok resp);
+  check_bool "same facts as an uncheckpointed run" true
+    (result_field "facts" resp = result_field "facts" cold)
+
+(* A chase request whose only attempt faults mid-chase, leaving its chain
+   on disk: searched over chaos seeds, deterministically. *)
+let fault_leaving_chain dir =
+  let config = ckpt_config ~retries:0 dir in
+  let faulted seed =
+    let resp =
+      Chaos.with_config
+        { Chaos.default_config with Chaos.seed; raise_p = 0.05 }
+        (fun () -> Server.handle config (req (path_chase_request ())))
+    in
+    (not (get_ok resp)) && Delta_log.scan ~dir <> []
+  in
+  if not (List.exists faulted (List.init 100 Fun.id)) then
+    Alcotest.fail "no seed faulted the chase after its chain started"
+
+let test_checkpoint_fault_retries_resume () =
+  let cold = handle (path_chase_request ()) in
+  (* the attempts whose [serve.request] step faulted never reached the
+     chase; every other attempt but the last faulted inside it *)
+  let request_faults chaos n =
+    Chaos.with_config chaos (fun () ->
+        List.init n (fun _ ->
+            match Chaos.step ~site:"serve.request" with
+            | () -> 0
+            | exception Chaos.Injected _ -> 1))
+    |> List.fold_left ( + ) 0
+  in
+  let run seed =
+    with_ckpt_dir (fun dir ->
+        let chaos = { Chaos.default_config with Chaos.seed; raise_p = 0.02 } in
+        let bases0 = base_writes () in
+        let resp, attempts =
+          Chaos.with_config chaos (fun () ->
+              let resp = Server.handle (ckpt_config dir) (req (path_chase_request ())) in
+              (resp, Chaos.shot_count ~site:"serve.request"))
+        in
+        let chases = attempts - request_faults chaos attempts in
+        if get_ok resp && chases >= 2 then
+          Some (resp, base_writes () - bases0, Delta_log.scan ~dir)
+        else None)
+  in
+  match List.find_map run (List.init 100 Fun.id) with
+  | None -> Alcotest.fail "no seed faulted the chase and then answered ok"
+  | Some (resp, bases, left) ->
+    same_facts resp cold;
+    check_int "one base: every retry resumed the chain" 1 bases;
+    check_bool "no chain after the terminal ok" true (left = [])
+
+let test_checkpoint_fault_keeps_chain () =
+  let cold = handle (path_chase_request ()) in
+  with_ckpt_dir (fun dir ->
+      fault_leaving_chain dir;
+      (* the retry-exhausted [fault] kept the chain: a resend resumes it
+         (no new base) and the terminal ok removes it *)
+      let bases0 = base_writes () in
+      let resp = Server.handle (ckpt_config dir) (req (path_chase_request ())) in
+      same_facts resp cold;
+      check_int "resumed, no new base" 0 (base_writes () - bases0);
+      check_bool "no chain after the terminal ok" true (Delta_log.scan ~dir = []))
+
+let test_checkpoint_truncation_removes_chain () =
+  with_ckpt_dir (fun dir ->
+      List.iter
+        (fun (extra, reason) ->
+          let resp =
+            Server.handle (ckpt_config dir) (req (path_chase_request ~extra ()))
+          in
+          check_bool "ok" true (get_ok resp);
+          check_bool ("truncated: " ^ reason) true
+            (result_field "reason" resp = Json.String reason);
+          check_bool ("no chain after a " ^ reason ^ " truncation") true
+            (Delta_log.scan ~dir = []))
+        [ ({|"rounds": 3, |}, "rounds"); ({|"max_facts": 30, |}, "facts") ])
+
+let test_checkpoint_unverifiable_chain_dropped () =
+  let cold = handle (path_chase_request ()) in
+  with_ckpt_dir (fun dir ->
+      fault_leaving_chain dir;
+      (* damage every base: no generation verifies *)
+      Array.iter
+        (fun f ->
+          if Filename.check_suffix f ".base" then begin
+            let p = Filename.concat dir f in
+            let ic = open_in_bin p in
+            let b = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+            close_in ic;
+            let last = Bytes.length b - 1 in
+            Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0xff));
+            let oc = open_out_bin p in
+            output_bytes oc b;
+            close_out oc
+          end)
+        (Sys.readdir dir);
+      let resp = Server.handle (ckpt_config dir) (req (path_chase_request ())) in
+      same_facts resp cold;
+      check_bool "no chain after the terminal ok" true (Delta_log.scan ~dir = []))
+
 (* -- the stdio session ----------------------------------------------------- *)
 
 let stdio_config ?(server = Server.default_config)
@@ -442,6 +584,14 @@ let suite =
     case "faults exhaust retries into a typed response"
       test_fault_exhausts_retries;
     case "retries rescue transient faults" test_fault_then_retry_succeeds;
+    case "checkpointed chase: faulted attempts resume one chain"
+      test_checkpoint_fault_retries_resume;
+    case "checkpointed chase: a fault response keeps the chain"
+      test_checkpoint_fault_keeps_chain;
+    case "checkpointed chase: a deterministic truncation removes it"
+      test_checkpoint_truncation_removes_chain;
+    case "checkpointed chase: an unverifiable chain is dropped"
+      test_checkpoint_unverifiable_chain_dropped;
     case "serve loop answers every line" test_serve_loop_answers_everything;
     case "serve loop sheds overload" test_serve_loop_sheds_overload;
     case "stdio answers stats and batch" test_stdio_stats_and_batch;
