@@ -29,6 +29,8 @@ let atoms_over schema vars =
 (* Existential variables of a head conjunction must form a prefix
    z0, …, z_{t-1} of the pool — other choices are renamings. *)
 let evars_prefix_ok m atoms =
+  m = 0
+  ||
   let used =
     List.fold_left
       (fun acc a -> Variable.Set.union acc (Atom.vars a))
@@ -97,14 +99,67 @@ let bodiless caps schema ~m =
     head_conjunctions caps schema [] ~m
     |> Seq.map (fun head -> ([], head))
 
-let linear ?(caps = default_caps) schema ~n ~m =
-  let with_body =
-    single_atom_bodies schema ~n
-    |> Seq.concat_map (fun b ->
-           head_conjunctions caps schema (used_vars [ b ]) ~m
-           |> Seq.map (fun head -> ([ b ], head)))
+(* [Lint.tautological] for a one-atom body [b]: the head maps into the
+   frozen [b] exactly when every head atom is over [b]'s relation and
+   position [i] of it maps to [b]'s term at [i] — each body variable to
+   itself, each existential to one term throughout. *)
+let tautological_over b head =
+  let bargs = Atom.args_arr b in
+  let image =
+    ref (Array.fold_left (fun acc t -> (t, t) :: acc) [] bargs)
   in
-  assemble caps (Seq.append (bodiless caps schema ~m) with_body)
+  List.for_all
+    (fun h ->
+      Relation.equal (Atom.rel h) (Atom.rel b)
+      && Array.for_all2
+           (fun t bt ->
+             match List.assoc_opt t !image with
+             | Some u -> Term.compare u bt = 0
+             | None ->
+               image := (t, bt) :: !image;
+               true)
+           (Atom.args_arr h) bargs)
+    head
+
+(* One linear body's candidates, in head order.  The body is a restricted
+   growth string or empty, so it is its own canonical form: candidates
+   over different bodies are never renamings of each other, and within
+   one body only the naming of existentials can make two alike.  Heads
+   without existentials are therefore already canonical; the others are
+   canonicalized and deduplicated against this body's alone. *)
+let linear_of_body caps ~m body heads () =
+  let seen = ref Tgd.Set.empty in
+  let representative s =
+    if m = 0 || Variable.Set.is_empty (Tgd.existential_vars s) then Some s
+    else
+      let c = Canonical.tgd s in
+      if Tgd.Set.mem c !seen then None
+      else begin
+        seen := Tgd.Set.add c !seen;
+        Some c
+      end
+  in
+  Seq.filter_map
+    (fun head ->
+      match Tgd.make ~body ~head with
+      | exception Invalid_argument _ -> None
+      | s -> (
+        match body with
+        | [ b ] when (not caps.keep_tautologies) && tautological_over b head ->
+          None
+        | _ -> representative s))
+    heads ()
+
+let linear ?(caps = default_caps) schema ~n ~m =
+  let bodiless =
+    if m = 0 then Seq.empty
+    else linear_of_body caps ~m [] (head_conjunctions caps schema [] ~m)
+  in
+  single_atom_bodies schema ~n
+  |> Seq.concat_map (fun b ->
+         linear_of_body caps ~m [ b ]
+           (head_conjunctions caps schema (used_vars [ b ]) ~m))
+  |> Seq.append bodiless
 
 let guarded ?(caps = default_caps) schema ~n ~m =
   let with_body =
@@ -139,8 +194,6 @@ let full ?caps schema ~n = generic ?caps schema ~n ~m:0
 
 let frontier_guarded ?caps schema ~n ~m =
   Seq.filter Tgd_class.is_frontier_guarded (generic ?caps schema ~n ~m)
-
-type stats = { enumerated : int; complete : bool }
 
 let atom_pool_size schema vars_count =
   List.fold_left

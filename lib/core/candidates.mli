@@ -4,12 +4,22 @@
     [LTGD_{n,m}] entailed by the input; Algorithm 2 (FG-to-G) does the same
     with [GTGD_{n,m}].  We enumerate those spaces up to variable renaming
     (the paper's "finite up to logical equivalence"), with configurable caps
-    on the number of atoms; [complete] in {!stats} reports whether the caps
-    were binding, so callers can qualify a negative rewriting answer.
+    on the number of atoms; the [*_complete] predicates report whether the
+    caps were binding, so callers can qualify a negative rewriting answer.
+
+    {!linear} builds its representatives canonical: a one-atom body drawn
+    from a restricted growth string is its own canonical form, so only the
+    naming of existentials within one body is deduplicated, and nothing is
+    canonicalized for a head without existentials.  Its order is part of
+    its contract — the rewrite checkpoint cursor and greedy minimization's
+    stable sort both read it.  {!guarded} and {!generic} still
+    canonicalize and deduplicate every candidate ({!Canonical.tgd}):
+    their multi-atom bodies need the permutation search.
 
     Tautological candidates (head already satisfied by the frozen body) are
-    skipped: they are entailed by every set and never contribute to
-    [Σ' ⊨ Σ]. *)
+    skipped unless [keep_tautologies]: they are entailed by every set and
+    never contribute to [Σ' ⊨ Σ].  {!linear} decides this against its one
+    body atom directly. *)
 
 open Tgd_syntax
 
@@ -30,9 +40,12 @@ val head_conjunctions :
     [m] canonical existential variables, each existential actually used. *)
 
 val linear : ?caps:caps -> Schema.t -> n:int -> m:int -> Tgd.t Seq.t
-(** [LTGD_{n,m}] over the schema, deduplicated modulo renaming.  Bodies are
-    single atoms whose variable patterns range over restricted growth
-    strings with at most [n] blocks. *)
+(** [LTGD_{n,m}] over the schema, one canonical representative per
+    renaming class.  Bodies are single atoms whose variable patterns range
+    over restricted growth strings with at most [n] blocks; bodiless tgds
+    (when [m ≥ 1]) come first, then each body with its heads in
+    {!head_conjunctions} order.  The sequence equals the one of building
+    every tgd, canonicalizing it and keeping first occurrences. *)
 
 val guarded : ?caps:caps -> Schema.t -> n:int -> m:int -> Tgd.t Seq.t
 (** [GTGD_{n,m}]: a guard atom pattern plus up to [max_body_atoms - 1] side
@@ -49,11 +62,6 @@ val generic : ?caps:caps -> Schema.t -> n:int -> m:int -> Tgd.t Seq.t
 
 val frontier_guarded : ?caps:caps -> Schema.t -> n:int -> m:int -> Tgd.t Seq.t
 (** {!generic} filtered to frontier-guarded tgds. *)
-
-type stats = {
-  enumerated : int;   (** canonical candidates produced *)
-  complete : bool;    (** no cap was binding for this schema and (n,m) *)
-}
 
 val linear_complete : caps -> Schema.t -> n:int -> m:int -> bool
 (** Is the cap non-binding, i.e. does [max_head_atoms] reach the total

@@ -150,6 +150,33 @@ let minimize_set ?naive ?memo ?analyze budget sigma' =
       | Entailment.Disproved | Entailment.Unknown -> kept)
     by_size by_size
 
+(* Analysis prefilter: a candidate whose head mentions a relation outside
+   the relation-level derivability closure of its body relations is
+   definitely not entailed — the chase of the frozen body can only derive
+   facts over that closure (see {!Tgd_analysis.Depgraph.derivable}).  The
+   closure of a union is not the union of closures, so closures are cached
+   per whole body relation set (sorted, as the table key): a linear sweep
+   computes one per body relation. *)
+let prefilter sigma =
+  let g = Tgd_analysis.Depgraph.make sigma in
+  let closures = Hashtbl.create 16 in
+  fun candidate ->
+    let rels =
+      List.sort_uniq Relation.compare (List.map Atom.rel (Tgd.body candidate))
+    in
+    let reachable =
+      match Hashtbl.find_opt closures rels with
+      | Some c -> c
+      | None ->
+        let c = Tgd_analysis.Depgraph.close g (Relation.Set.of_list rels) in
+        Hashtbl.add closures rels c;
+        c
+    in
+    not
+      (List.for_all
+         (fun a -> Relation.Set.mem (Atom.rel a) reachable)
+         (Tgd.head candidate))
+
 (* First [n] items of [seq] as a list, plus the remainder. *)
 let take n seq =
   let rec go n acc seq =
@@ -204,41 +231,15 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
      computed against an already-cancelled budget.  The checkpoint cursor
      therefore always points at a batch boundary, and a resumed run
      re-screens from exactly there, so resume ∘ truncate = unbudgeted. *)
-  (* Analysis prefilter: a candidate whose head mentions a relation outside
-     the relation-level derivability closure of its body relations is
-     definitely not entailed — the chase of the frozen body can only derive
-     facts over that closure (see {!Tgd_analysis.Depgraph.derivable}) — so
-     it is answered [Disproved] without chasing.  The answer is recorded in
-     the screened prefix like any other, keeping checkpoints and resume
-     byte-compatible; the counter is atomic because pool workers screen
-     concurrently. *)
-  let skipped = Atomic.make 0 in
-  let prefilter =
-    if not config.analyze then fun _ -> false
-    else begin
-      let g = Tgd_analysis.Depgraph.make sigma in
-      let rels atoms =
-        List.fold_left
-          (fun acc a -> Relation.Set.add (Atom.rel a) acc)
-          Relation.Set.empty atoms
-      in
-      fun candidate ->
-        let reachable =
-          Tgd_analysis.Depgraph.close g (rels (Tgd.body candidate))
-        in
-        not (Relation.Set.subset (rels (Tgd.head candidate)) reachable)
-    end
-  in
   (* A resumed prefix replays recorded answers without re-screening, so its
      prefilter hits must be re-derived here — otherwise the skipped counter
      would depend on where the previous run stopped. *)
-  List.iter (fun (c, _) -> if prefilter c then Atomic.incr skipped) prefix;
-  let screen candidate =
-    if prefilter candidate then begin
-      Atomic.incr skipped;
-      Entailment.Disproved
-    end
-    else Entailment.entails ~naive ~memo ~budget ~analyze sigma candidate
+  let prefilter = if config.analyze then prefilter sigma else fun _ -> false in
+  let skipped =
+    ref (List.fold_left (fun k (c, _) -> if prefilter c then k + 1 else k) 0 prefix)
+  in
+  let entails candidate =
+    Entailment.entails ~naive ~memo ~budget ~analyze sigma candidate
   in
   (* Cost-sized chunking: the analysis strategy predicts the per-candidate
      screening cost (a termination certificate bounds each chase), and
@@ -266,19 +267,49 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
             encode_entries ~cursor:start prefix))
       config.checkpoint
   in
-  let persisted = ref (List.length prefix) in
-  let persist cp =
+  (* Entries committed since the last record, newest first: a record
+     appends only these, so its cost is the batches since the last save,
+     not the whole prefix; the full prefix is encoded only when the chain
+     compacts into a fresh base. *)
+  let unsaved = ref [] in
+  let persist ~cursor ~prefix =
     Option.iter
       (fun t ->
-        (* append only the entries committed since the last record — the
-           write cost is the batch, not the whole prefix *)
-        let fresh =
-          List.filteri (fun i _ -> i >= !persisted) cp.screened_prefix
-        in
-        persisted := List.length cp.screened_prefix;
-        Delta_log.record t (encode_entries ~cursor:cp.cursor fresh)
-          ~base:(fun () -> encode_entries ~cursor:cp.cursor cp.screened_prefix))
+        let fresh = List.rev !unsaved in
+        unsaved := [];
+        Delta_log.record t (encode_entries ~cursor fresh) ~base:(fun () ->
+            encode_entries ~cursor (prefix ())))
       log
+  in
+  (* One batch's answers, in batch order.  Prefiltered candidates are
+     answered here, on the submitting domain; only the rest are chased,
+     on the pool when there is one.  The batch is a fault site of its own,
+     so a sweep whose candidates are all prefiltered can still fault. *)
+  let screen_batch pool batch =
+    Chaos.step ~site:"rewrite.batch";
+    let flagged = List.map (fun c -> (c, prefilter c)) batch in
+    let to_chase =
+      List.filter_map (fun (c, hit) -> if hit then None else Some c) flagged
+    in
+    let chased =
+      match pool with
+      | _ when to_chase = [] -> []
+      | None -> List.map entails to_chase
+      | Some pool ->
+        Pool.parallel_map pool
+          ~chunk:(chunk_for ~items:(List.length to_chase))
+          entails (List.to_seq to_chase)
+    in
+    let rec merge flagged chased hits acc =
+      match (flagged, chased) with
+      | [], _ -> (List.rev acc, hits)
+      | (c, true) :: flagged, _ ->
+        merge flagged chased (hits + 1) ((c, Entailment.Disproved) :: acc)
+      | (c, false) :: flagged, a :: chased ->
+        merge flagged chased hits ((c, a) :: acc)
+      | (_, false) :: _, [] -> assert false
+    in
+    merge flagged chased 0 []
   in
   let run pool =
     let screened_rev = ref (List.rev prefix) in
@@ -294,32 +325,23 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
         let batch, rest' = take batch_size !rest in
         if batch = [] then exhausted := true
         else begin
-          match
-            (match pool with
-            | None -> List.map (fun c -> (c, screen c)) batch
-            | Some pool ->
-              Pool.parallel_map pool
-                ~chunk:(chunk_for ~items:(List.length batch))
-                (fun c -> (c, screen c))
-                (List.to_seq batch))
-          with
-          | results ->
+          match screen_batch pool batch with
+          | results, hits ->
             (match Budget.check budget with
             | Some r -> trip := Some r (* discard the polluted batch *)
             | None ->
               screened_rev := List.rev_append results !screened_rev;
+              skipped := !skipped + hits;
               cursor := !cursor + List.length batch;
               rest := rest';
-              incr since_save;
-              if
-                Option.is_some log
-                && !since_save >= config.checkpoint_every
-              then begin
-                since_save := 0;
-                persist
-                  { cursor = !cursor;
-                    screened_prefix = List.rev !screened_rev
-                  }
+              if Option.is_some log then begin
+                unsaved := List.rev_append results !unsaved;
+                incr since_save;
+                if !since_save >= config.checkpoint_every then begin
+                  since_save := 0;
+                  persist ~cursor:!cursor ~prefix:(fun () ->
+                      List.rev !screened_rev)
+                end
               end)
           | exception Chaos.Injected site -> trip := Some (Budget.Fault site)
         end
@@ -348,14 +370,14 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
       m;
       candidates_enumerated = cursor;
       candidates_entailed = List.length entailed;
-      candidates_skipped = Atomic.get skipped;
+      candidates_skipped = !skipped;
       checkpoint;
       stats = Stats.diff (Stats.copy (Stats.global ())) before
     }
   in
   let truncated ~phase reason =
     let cp = { cursor; screened_prefix = screened } in
-    persist cp;
+    persist ~cursor ~prefix:(fun () -> screened);
     Option.iter Delta_log.close log;
     let partial =
       mk_report
@@ -398,7 +420,7 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
            than the unbudgeted run's — report it as truncated with the
            full checkpoint so a resume recomputes the tail phases *)
         let cp = { cursor; screened_prefix = screened } in
-        persist cp;
+        persist ~cursor ~prefix:(fun () -> screened);
         Option.iter Delta_log.close log;
         let partial = mk_report outcome (Some cp) in
         Budget.Truncated { reason; partial; progress = partial.stats }

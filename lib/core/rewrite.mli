@@ -54,10 +54,11 @@ type config = {
           small chunks for load balance.  Outcomes are independent of
           [chunk]. *)
   analyze : bool;
-      (** run the static-analysis prefilter (default): candidates whose
-          head mentions a relation outside the relation-level derivability
-          closure of their body ({!Tgd_analysis.Depgraph}) are answered
-          [Disproved] without chasing, and the chases that do run inherit
+      (** run the static-analysis prefilter (default, {!prefilter}):
+          candidates whose head mentions a relation outside the
+          relation-level derivability closure of their body are answered
+          [Disproved] on the submitting domain without chasing, so only
+          the rest reach the pool; the chases that do run inherit
           certificate-based promotion ({!Tgd_chase.Chase.restricted}).
           The outcome is unchanged either way — the prefilter only skips
           work the chase would have rejected. *)
@@ -108,8 +109,10 @@ type report = {
   candidates_enumerated : int;
   candidates_entailed : int;
   candidates_skipped : int;
-      (** candidates rejected by the analysis prefilter during this run
-          (without a chase); always [0] with [analyze = false] *)
+      (** committed candidates rejected by the analysis prefilter
+          (without a chase), a resumed prefix's included — so a resumed
+          run reports what a cold one does; a discarded batch counts
+          nothing.  Always [0] with [analyze = false] *)
   checkpoint : checkpoint option;
       (** [Some] exactly on truncated reports: where to resume *)
   stats : Tgd_engine.Stats.t;
@@ -121,6 +124,14 @@ type report = {
 val schema_of : Tgd.t list -> Schema.t
 val class_bounds : Tgd.t list -> int * int
 (** [(n, m)]: maximum universal / existential variable counts over the set. *)
+
+val prefilter : Tgd.t list -> Tgd.t -> bool
+(** [prefilter sigma] is the analysis prefilter of a sweep over [sigma]:
+    [true] for a candidate whose head mentions a relation outside the
+    derivability closure ({!Tgd_analysis.Depgraph.close}) of its body
+    relations, which [sigma] therefore does not entail.  The closure is
+    computed once per distinct body relation set and cached in the
+    returned predicate, which is for one domain at a time. *)
 
 val g_to_l :
   ?config:config -> ?resume:checkpoint -> Tgd.t list -> report Budget.outcome

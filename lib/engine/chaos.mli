@@ -3,7 +3,8 @@
     When a configuration is installed, {!step} probabilistically injects
     delays, allocation spikes, and exceptions at the engine's instrumented
     sites — chase trigger firings ([chase.fire], [chase.naive]), pool
-    chunks ([pool.chunk]), and the serve loop ([serve.request]).  With
+    chunks ([pool.chunk]), rewrite screening batches ([rewrite.batch]),
+    and the serve loop ([serve.request]).  With
     no configuration installed (the default), {!step} is a single atomic
     read and injects nothing; production code never pays more than
     that.

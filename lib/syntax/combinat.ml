@@ -15,15 +15,23 @@ let rec subsets = function
     let rest = subsets xs in
     Seq.append rest (Seq.map (fun s -> x :: s) rest)
 
+(* [subsets_up_to k (x :: xs)] is [subsets_up_to k xs] followed by
+   [x :: s] for each [s] in [subsets_up_to (k - 1) xs].  Unrolled along
+   the list, that is [[]] and then, for each element from the last to the
+   first, the element prepended to the smaller subsets of what follows
+   it: the same order, with [k] levels of sequence nesting instead of
+   one per element. *)
 let rec subsets_up_to k l =
   if k <= 0 then Seq.return []
   else
-    match l with
-    | [] -> Seq.return []
-    | x :: xs ->
-      Seq.append
-        (subsets_up_to k xs)
-        (Seq.map (fun s -> x :: s) (subsets_up_to (k - 1) xs))
+    let rec tails acc = function
+      | [] -> acc
+      | x :: xs -> tails ((x, xs) :: acc) xs
+    in
+    Seq.cons []
+      (Seq.concat_map
+         (fun (x, xs) -> Seq.map (fun s -> x :: s) (subsets_up_to (k - 1) xs))
+         (List.to_seq (tails [] l)))
 
 let rec subsets_of_size k l =
   if k = 0 then Seq.return []

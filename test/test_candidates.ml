@@ -116,6 +116,92 @@ let test_head_conjunctions () =
   check_int "15 heads" 15 (List.length heads);
   List.iter (fun h -> check_bool "non-empty" true (h <> [])) heads
 
+(* ---- the constructed linear space = enumerate-then-canonicalize ---- *)
+
+(* The pipeline {!Candidates.linear} replaced, kept as its oracle: build
+   every (body, head) pair, drop tautologies with the freeze-and-hom
+   check, canonicalize and keep first occurrences across the whole
+   space. *)
+let oracle_linear caps schema ~n ~m =
+  let body_atoms =
+    Schema.relations schema |> List.to_seq
+    |> Seq.concat_map (fun r ->
+           Combinat.growth_strings (Relation.arity r) n
+           |> Seq.map (fun p ->
+                  Atom.make r
+                    (List.map (fun i -> Term.var (Variable.indexed "x" i)) p)))
+  in
+  let pairs =
+    Seq.append
+      (if m = 0 then Seq.empty
+       else
+         Seq.map (fun h -> ([], h)) (Candidates.head_conjunctions caps schema [] ~m))
+      (Seq.concat_map
+         (fun b ->
+           Candidates.head_conjunctions caps schema
+             (Variable.Set.elements (Atom.vars b))
+             ~m
+           |> Seq.map (fun h -> ([ b ], h)))
+         body_atoms)
+  in
+  let seen = ref Tgd.Set.empty in
+  pairs
+  |> Seq.filter_map (fun (body, head) ->
+         match Tgd.make ~body ~head with
+         | s -> Some s
+         | exception Invalid_argument _ -> None)
+  |> Seq.filter (fun s ->
+         caps.Candidates.keep_tautologies
+         || not (Tgd_analysis.Lint.tautological s))
+  |> Seq.filter_map (fun s ->
+         let c = Canonical.tgd s in
+         if Tgd.Set.mem c !seen then None
+         else begin
+           seen := Tgd.Set.add c !seen;
+           Some c
+         end)
+  |> List.of_seq
+
+(* Atoms over [vars] variables, summed over the schema. *)
+let pool_size schema vars =
+  List.fold_left
+    (fun acc r ->
+      acc + int_of_float (float_of_int vars ** float_of_int (Relation.arity r)))
+    0 (Schema.relations schema)
+
+let rec choose p k = if k = 0 then 1 else choose (p - 1) (k - 1) * p / k
+
+(* A schema of one or two relations of arity ≤ 3, n ≤ 3, m ≤ 2, head cap
+   ≤ 3, tautologies kept or not.  The head cap is lowered while the head
+   space of one body would exceed 2,000 sets, so a case stays small. *)
+let gen_linear_case =
+  let open QCheck.Gen in
+  let* arities = list_size (int_range 1 2) (int_range 0 3) in
+  let* n = int_range 0 3 in
+  let* m = int_range 0 2 in
+  let* h = int_range 1 3 in
+  let* keep = bool in
+  let schema = schema (List.mapi (fun i a -> (Printf.sprintf "R%d" i, a)) arities) in
+  let p = pool_size schema (n + m) in
+  let rec fit h = if h > 1 && choose p h > 2000 then fit (h - 1) else h in
+  let caps =
+    Candidates.{ max_body_atoms = 1; max_head_atoms = fit h; keep_tautologies = keep }
+  in
+  return (schema, n, m, caps)
+
+let print_linear_case (schema, n, m, caps) =
+  Fmt.str "%a n=%d m=%d max_head_atoms=%d keep_tautologies=%b" Schema.pp schema n m
+    caps.Candidates.max_head_atoms caps.Candidates.keep_tautologies
+
+let prop_linear_matches_oracle =
+  QCheck.Test.make
+    ~name:"linear = canonicalize-and-dedup oracle, as a sequence" ~count:80
+    (QCheck.make ~print:print_linear_case gen_linear_case)
+    (fun (schema, n, m, caps) ->
+      List.equal Tgd.equal
+        (List.of_seq (Candidates.linear ~caps schema ~n ~m))
+        (oracle_linear caps schema ~n ~m))
+
 let suite =
   [ case "linear membership" test_linear_membership;
     case "guarded membership" test_guarded_membership;
@@ -128,5 +214,6 @@ let suite =
     case "bodiless candidates" test_bodiless_candidates;
     case "growth-string bodies" test_growth_string_bodies;
     case "completeness flags" test_completeness_flags;
-    case "head conjunctions" test_head_conjunctions
+    case "head conjunctions" test_head_conjunctions;
+    QCheck_alcotest.to_alcotest prop_linear_matches_oracle
   ]

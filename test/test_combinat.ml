@@ -63,6 +63,27 @@ let test_take () =
   Alcotest.check (Alcotest.list Alcotest.int) "take" [ 1; 2 ]
     (Combinat.take 2 (List.to_seq [ 1; 2; 3 ]))
 
+(* The definitional recursion [subsets_up_to] unrolls; its order is what
+   the candidate enumerators (and so the rewrite checkpoint cursor)
+   depend on. *)
+let rec subsets_up_to_def k l =
+  if k <= 0 then Seq.return []
+  else
+    match l with
+    | [] -> Seq.return []
+    | x :: xs ->
+      Seq.append
+        (subsets_up_to_def k xs)
+        (Seq.map (fun s -> x :: s) (subsets_up_to_def (k - 1) xs))
+
+let prop_subsets_up_to_order =
+  QCheck.Test.make ~name:"subsets_up_to = its definitional recursion, in order"
+    ~count:200
+    QCheck.(pair (int_range (-1) 4) (list_of_size (Gen.int_range 0 12) small_nat))
+    (fun (k, l) ->
+      List.of_seq (Combinat.subsets_up_to k l)
+      = List.of_seq (subsets_up_to_def k l))
+
 let suite =
   [ case "permutations" test_permutations;
     case "subsets" test_subsets;
@@ -70,5 +91,6 @@ let suite =
     case "tuples" test_tuples;
     case "growth strings" test_growth_strings;
     case "cartesian" test_cartesian;
-    case "take" test_take
+    case "take" test_take;
+    QCheck_alcotest.to_alcotest prop_subsets_up_to_order
   ]

@@ -202,6 +202,74 @@ let test_schema_of () =
   check_int "two relations" 2 (Schema.size s);
   check_bool "has S" true (Schema.find s "S" <> None)
 
+(* ---- the prefilter: once per body relation set, and sound ---- *)
+
+let rels atoms = Relation.Set.of_list (List.map Atom.rel atoms)
+
+let gen_guarded_sigma : Tgd.t list QCheck.Gen.t =
+ fun st ->
+  let schema = Tgd_workload.Gen.random_schema st ~relations:3 ~max_arity:2 in
+  Tgd_workload.Gen.random_sigma st schema Tgd_class.Guarded
+    ~size:(1 + Random.State.int st 3)
+
+(* Over the first 300 linear and the first 300 guarded candidates: the
+   sweep's cached closure gives the per-candidate [Depgraph.close]
+   verdict, and the naive chase proves no candidate it drops. *)
+let prop_prefilter_sound =
+  QCheck.Test.make
+    ~name:"prefilter: cached closure = per-candidate closure, drops nothing entailed"
+    ~count:40
+    (QCheck.make
+       ~print:(fun sigma -> String.concat " ;; " (List.map Tgd.to_string sigma))
+       gen_guarded_sigma)
+    (fun sigma ->
+      let schema = R.schema_of sigma and n, m = R.class_bounds sigma in
+      let caps =
+        Candidates.{ max_body_atoms = 2; max_head_atoms = 1; keep_tautologies = false }
+      in
+      let g = Tgd_analysis.Depgraph.make sigma in
+      let prefilter = R.prefilter sigma in
+      let budget = Tgd_engine.Budget.limits ~rounds:8 ~facts:500 in
+      List.for_all
+        (fun space ->
+          Seq.take 300 space
+          |> Seq.for_all (fun c ->
+                 let hit = prefilter c in
+                 hit
+                 = not
+                     (Relation.Set.subset (rels (Tgd.head c))
+                        (Tgd_analysis.Depgraph.close g (rels (Tgd.body c))))
+                 && ((not hit)
+                    || Tgd_chase.Entailment.entails ~naive:true ~memo:false ~budget
+                         sigma c
+                       <> Tgd_chase.Entailment.Proved)))
+        [ Candidates.linear ~caps schema ~n ~m; Candidates.guarded ~caps schema ~n ~m ])
+
+(* The benchmark's rewrite_layered sweep, unrenamed: how much of the
+   space is enumerated, prefiltered and entailed, and the size of the
+   rewriting, at jobs 1 and 2. *)
+let test_layered_sweep_work () =
+  let d = R.default_config in
+  List.iter
+    (fun jobs ->
+      Tgd_chase.Entailment.clear_memos ();
+      Tgd_chase.Chase.clear_memo ();
+      let config =
+        { d with
+          R.caps = { d.R.caps with Candidates.max_head_atoms = 1 };
+          jobs
+        }
+      in
+      let r = g_to_l ~config (Tgd_workload.Families.layered ~copies:4 ~depth:3) in
+      let at what = Printf.sprintf "jobs %d: %s" jobs what in
+      check_int (at "enumerated") 3336 r.R.candidates_enumerated;
+      check_int (at "prefiltered") 3024 r.R.candidates_skipped;
+      check_int (at "entailed") 144 r.R.candidates_entailed;
+      match r.R.outcome with
+      | R.Rewritable sigma' -> check_int (at "rewriting") 36 (List.length sigma')
+      | _ -> Alcotest.fail (at "the layered ontology did not rewrite"))
+    [ 1; 2 ]
+
 let suite =
   [ case "class bounds" test_class_bounds;
     case "G-to-L separation (§9.1)" test_g_to_l_separation;
@@ -217,5 +285,7 @@ let suite =
     case "rewrite into frontier-guarded" test_to_frontier_guarded;
     case "rewrite into full tgds" test_to_full;
     case "minimize" test_minimize;
-    case "schema_of" test_schema_of
+    case "schema_of" test_schema_of;
+    case "rewrite_layered sweep work counts" test_layered_sweep_work;
+    QCheck_alcotest.to_alcotest prop_prefilter_sound
   ]
