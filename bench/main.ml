@@ -712,11 +712,15 @@ let e15 ~reps () =
       (Printf.sprintf "tgd_bench_recover_%d" (Unix.getpid ()))
   in
   (* an unrewritable input, so the candidate space is swept to the end —
-     ~5k candidates / ~1.3k screening batches, i.e. many checkpoint
-     opportunities.  Memoization is off so each candidate costs a real
-     chase and the relative overhead numbers are stable. *)
+     about 5.2k candidates in 1,296 screening batches of four (chunk 1
+     fixes the batch size whatever the cost model predicts), so even the
+     every=16 cadence appends 81 records.  Memoization is off so each
+     candidate costs a real chase and the relative overhead numbers are
+     stable. *)
   let sigma = Families.fg_unrewritable 3 in
-  let base_config = { (rewrite_config 3 2) with Rewrite.memo = false } in
+  let base_config =
+    { (rewrite_config 3 2) with Rewrite.memo = false; chunk = Some 1 }
+  in
   let cold f =
     List.init reps (fun _ ->
         Tgd_chase.Entailment.clear_memos ();
@@ -743,14 +747,20 @@ let e15 ~reps () =
       let cfg =
         Rewrite.log_config ~dir ~name:(Printf.sprintf "e15-delta%d" every) ()
       in
-      let recs0 = (Stats.global ()).Stats.delta_records in
+      (* the records each repetition appended: the sweep is deterministic,
+         so every repetition appends the same number *)
+      let counts = ref [] in
       let t =
         cold (fun () ->
             Delta_log.remove cfg;
-            run_with (Some { Delta_log.log = cfg; resumed = None }) every)
+            let recs0 = (Stats.global ()).Stats.delta_records in
+            run_with (Some { Delta_log.log = cfg; resumed = None }) every;
+            counts := ((Stats.global ()).Stats.delta_records - recs0) :: !counts)
       in
       Delta_log.remove cfg;
-      let recs = ((Stats.global ()).Stats.delta_records - recs0) / reps in
+      let recs = List.hd !counts in
+      if List.exists (( <> ) recs) !counts then
+        failwith "E15: repetitions appended different record counts";
       let pct =
         if baseline > 0. then 100. *. (t -. baseline) /. baseline else 0.
       in

@@ -87,13 +87,13 @@ let truncated_exit =
 
 let rejected_exit =
   Cmd.Exit.info 4
-    ~doc:"a durable checkpoint exists under $(b,--checkpoint-dir) but no \
-          generation yields a verifiable base (bad magic/header, checksum \
-          mismatch — on every retained generation).  Nothing was resumed \
-          or overwritten; run $(b,tgdtool checkpoint inspect) to see the \
-          damage, or delete the chain's files to start fresh.  Mere \
-          delta-chain damage never exits 4: the run resumes from the last \
-          verifiable prefix with a warning."
+    ~doc:"a durable checkpoint exists under $(b,--checkpoint-dir) but its \
+          base does not verify (missing, bad magic/header, checksum \
+          mismatch) or its log was written against another base.  Nothing \
+          was resumed or overwritten; run $(b,tgdtool checkpoint inspect) \
+          to see the damage, or delete the chain's files to start fresh.  \
+          Mere delta-record damage never exits 4: the run resumes from the \
+          last verifiable prefix with a warning."
 
 let exits = truncated_exit :: rejected_exit :: Cmd.Exit.defaults
 
@@ -102,8 +102,9 @@ let checkpoint_dir_arg =
     value & opt (some string) None
     & info [ "checkpoint-dir" ] ~docv:"DIR"
         ~doc:"Persist progress under $(docv) as an incremental delta chain \
-              (full base + per-barrier delta records, compacted \
-              generationally) and resume from it on restart (a notice goes \
+              (one base, $(i,NAME).base, written when the chain starts, and \
+              an append-only log of per-barrier delta records, \
+              $(i,NAME).log) and resume from it on restart (a notice goes \
               to stderr; stdout stays byte-comparable with an \
               uninterrupted run).  The chain is removed when the run \
               completes.  A torn final record is dropped silently; \
@@ -119,21 +120,13 @@ let checkpoint_every_arg =
               records for $(b,rewrite) (default 1), committed chase rounds \
               per delta record for $(b,chase) (default 8).")
 
-let checkpoint_keep_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "checkpoint-keep" ] ~docv:"N"
-        ~doc:"Checkpoint generations retained after compaction (default 2); \
-              older generations are deleted atomically when the chain is \
-              folded into a fresh base.")
-
 let checkpoint_fsync_arg =
   Arg.(
     value & flag
     & info [ "checkpoint-fsync" ]
-        ~doc:"fsync the checkpoint files at every barrier (base writes, \
-              delta appends, pointer switches).  Off by default: surviving \
-              kill -9 needs no fsync, only power loss does.")
+        ~doc:"fsync the checkpoint files at every barrier (the base write \
+              and each delta append).  Off by default: surviving kill -9 \
+              needs no fsync, only power loss does.")
 
 (* The one load path for incremental chains.  Nothing on disk starts
    fresh; a resume is announced on stderr (plus one warning line per
@@ -147,7 +140,7 @@ let load_journal ~decode log =
     Option.iter
       (fun r ->
         Fmt.epr "resuming from checkpoint %s@."
-          (Tgd_engine.Delta_log.current_path log);
+          (Tgd_engine.Delta_log.log_path log);
         List.iter
           (fun w -> Fmt.epr "checkpoint warning: %s@." w)
           r.Tgd_engine.Delta_log.warnings)
@@ -233,7 +226,7 @@ let chase_cmd =
   in
   let run path db_path rounds max_facts timeout fuel oblivious explain stats
       naive jobs chunk no_analyze checkpoint_dir checkpoint_every
-      checkpoint_keep checkpoint_fsync =
+      checkpoint_fsync =
     let sigma = parse_tgds_file path in
     let schema = Rewrite.schema_of sigma in
     let p = parse_program_file path in
@@ -256,8 +249,8 @@ let chase_cmd =
               "--checkpoint-dir supports the default restricted engine \
                chase only";
           let log =
-            Tgd_chase.Chase.log_config ~keep:checkpoint_keep
-              ~fsync:checkpoint_fsync ~dir ~name:"chase" ()
+            Tgd_chase.Chase.log_config ~fsync:checkpoint_fsync ~dir
+              ~name:"chase" ()
           in
           Tgd_chase.Chase.restricted_resumable ~budget ~jobs ?chunk
             ?every:checkpoint_every
@@ -305,7 +298,7 @@ let chase_cmd =
       const run $ ontology_arg $ db_arg $ budget_arg $ max_facts_arg
       $ timeout_arg $ fuel_arg $ oblivious_arg $ explain_arg $ stats_arg
       $ naive_arg $ jobs_arg $ chunk_arg $ no_analyze_arg $ checkpoint_dir_arg
-      $ checkpoint_every_arg $ checkpoint_keep_arg $ checkpoint_fsync_arg)
+      $ checkpoint_every_arg $ checkpoint_fsync_arg)
 
 (* ---- entails ---- *)
 
@@ -359,14 +352,13 @@ let rewrite_cmd =
   in
   let run direction path body head rounds max_facts timeout fuel out stats
       naive jobs chunk no_analyze checkpoint_dir checkpoint_every
-      checkpoint_keep checkpoint_fsync =
+      checkpoint_fsync =
     let sigma = parse_tgds_file path in
     let journal =
       Option.map
         (fun dir ->
           load_journal ~decode:Rewrite.decode_chain
-            (Rewrite.log_config ~keep:checkpoint_keep ~fsync:checkpoint_fsync
-               ~dir
+            (Rewrite.log_config ~fsync:checkpoint_fsync ~dir
                ~name:
                  (match direction with
                  | `G2l -> "rewrite-g2l"
@@ -431,7 +423,7 @@ let rewrite_cmd =
       const run $ direction_arg $ file_arg $ body_cap $ head_cap $ budget_arg
       $ max_facts_arg $ timeout_arg $ fuel_arg $ out_arg $ stats_arg
       $ naive_arg $ jobs_arg $ chunk_arg $ no_analyze_arg $ checkpoint_dir_arg
-      $ checkpoint_every_arg $ checkpoint_keep_arg $ checkpoint_fsync_arg)
+      $ checkpoint_every_arg $ checkpoint_fsync_arg)
 
 (* ---- properties ---- *)
 
@@ -829,10 +821,10 @@ let checkpoint_cmd =
   in
   let inspect_exits =
     Cmd.Exit.info 1
-      ~doc:"at least one chain carries corruption (a bad base, an \
-            unreadable pointer with no intact generation, or a CRC-invalid \
-            mid-chain record).  A torn final record — the normal kill -9 \
-            signature — does not count."
+      ~doc:"at least one chain carries corruption (a missing or bad base, \
+            a log header that is unreadable or names another base, or a \
+            CRC-invalid mid-chain record).  A torn final record — the \
+            normal kill -9 signature — does not count."
     :: Cmd.Exit.defaults
   in
   let run dir =
@@ -840,49 +832,41 @@ let checkpoint_cmd =
     if names = [] then Fmt.pr "no checkpoint chains under %s@." dir
     else begin
       let corrupt = ref false in
+      let bad fmt =
+        corrupt := true;
+        Fmt.pr fmt
+      in
       List.iter
         (fun name ->
-          let pointer, gens = D.inspect ~dir ~name in
+          let i = D.inspect ~dir ~name in
           Fmt.pr "%s:@." name;
-          (match pointer with
-          | Some (kind, version, g) ->
-            Fmt.pr "  current: generation %d (kind %s, version %d)@." g kind
-              version
-          | None -> Fmt.pr "  current: no readable pointer@.");
+          (match i.D.base_status with
+          | `Ok (kind, version) ->
+            Fmt.pr "  base  %s: %d bytes, crc ok (kind %s, version %d)@."
+              i.D.base_file i.D.base_bytes kind version
+          | `Missing -> bad "  base  %s: MISSING@." i.D.base_file
+          | `Bad why -> bad "  base  %s: BAD (%s)@." i.D.base_file why);
+          (match i.D.log_status with
+          | `Ok ->
+            Fmt.pr "  log   %s: %d records, %d bytes@." i.D.log_file
+              (List.length i.D.records) i.D.log_bytes
+          | `Missing -> Fmt.pr "  log   %s: none (empty chain)@." i.D.log_file
+          | `Bad why -> bad "  log   %s: BAD (%s)@." i.D.log_file why);
           List.iter
-            (fun g ->
-              Fmt.pr "  generation %d%s@." g.D.g_generation
-                (if g.D.g_current then " (current)" else "");
-              (match g.D.g_base_status with
+            (fun r ->
+              match r.D.r_status with
               | `Ok ->
-                Fmt.pr "    base  %s: %d bytes, crc ok@." g.D.g_base_path
-                  g.D.g_base_bytes
-              | `Missing ->
-                corrupt := true;
-                Fmt.pr "    base  %s: MISSING@." g.D.g_base_path
-              | `Bad why ->
-                corrupt := true;
-                Fmt.pr "    base  %s: BAD (%s)@." g.D.g_base_path why);
-              Fmt.pr "    log   %s: %d records, %d bytes@." g.D.g_log_path
-                (List.length g.D.g_records)
-                g.D.g_log_bytes;
-              List.iter
-                (fun r ->
-                  match r.D.r_status with
-                  | `Ok ->
-                    Fmt.pr "      record %d at %d: %d bytes, crc ok@."
-                      r.D.r_index r.D.r_offset r.D.r_bytes
-                  | `Torn ->
-                    Fmt.pr
-                      "      record %d at %d: torn tail (%d bytes, dropped \
-                       on resume)@."
-                      r.D.r_index r.D.r_offset r.D.r_bytes
-                  | `Corrupt why ->
-                    corrupt := true;
-                    Fmt.pr "      record %d at %d: CORRUPT (%s)@." r.D.r_index
-                      r.D.r_offset why)
-                g.D.g_records)
-            gens)
+                Fmt.pr "    record %d at %d: %d bytes, crc ok@." r.D.r_index
+                  r.D.r_offset r.D.r_bytes
+              | `Torn ->
+                Fmt.pr
+                  "    record %d at %d: torn tail (%d bytes, dropped on \
+                   resume)@."
+                  r.D.r_index r.D.r_offset r.D.r_bytes
+              | `Corrupt why ->
+                bad "    record %d at %d: CORRUPT (%s)@." r.D.r_index
+                  r.D.r_offset why)
+            i.D.records)
         names;
       if !corrupt then exit 1
     end

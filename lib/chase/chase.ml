@@ -227,8 +227,8 @@ type checkpoint = {
 
 let log_kind = "chase-delta"
 
-let log_config ?keep ?fsync ~dir ~name () =
-  Delta_log.config ?keep ?fsync ~dir ~name ~kind:log_kind ()
+let log_config ?fsync ~dir ~name () =
+  Delta_log.config ?fsync ~dir ~name ~kind:log_kind ()
 
 (* Base payload: the full committed state (instance, rounds, fired).
    Delta payload: the spans added since the previous record — rounds,
@@ -295,31 +295,30 @@ let restricted_resumable ?(budget = default_budget) ?(jobs = 1) ?chunk
   in
   let log = Delta_log.open_journal journal ~base:(fun () -> encode_base start) in
   let w = Codec.rel_writer (Instance.schema start.chk_instance) in
-  (* the state the chain encodes so far: base + every appended record *)
-  let journaled = ref start in
+  (* this run's rounds and firings the chain holds so far *)
+  let logged_rounds = ref 0 and logged_fired = ref 0 in
   let pending = ref [] (* committed rounds not yet appended, newest first *) in
   let pending_rounds = ref 0 in
   let flush ~rounds ~fired =
     let facts = List.concat (List.rev !pending) in
-    let j = !journaled in
-    let dr = start.chk_rounds + rounds - j.chk_rounds
-    and df = start.chk_fired + fired - j.chk_fired in
+    let dr = rounds - !logged_rounds and df = fired - !logged_fired in
     pending := [];
     pending_rounds := 0;
     if dr > 0 || df > 0 || facts <> [] then begin
-      journaled :=
-        { chk_instance = List.fold_left Instance.add_fact j.chk_instance facts;
-          chk_rounds = j.chk_rounds + dr;
-          chk_fired = j.chk_fired + df
-        };
-      Delta_log.record log (encode_delta w ~rounds:dr ~fired:df facts)
-        ~base:(fun () -> encode_base !journaled)
+      logged_rounds := rounds;
+      logged_fired := fired;
+      Delta_log.append log (encode_delta w ~rounds:dr ~fired:df facts)
     end
   in
+  (* A round that commits nothing is the quiescent last one (or one a trip
+     cut short, which the final sync below records).  Journaling it would
+     make a run killed before its clean-up resume one round too many. *)
   let on_commit ~round ~fired facts =
-    pending := facts :: !pending;
-    incr pending_rounds;
-    if !pending_rounds >= every then flush ~rounds:round ~fired
+    if facts <> [] then begin
+      pending := facts :: !pending;
+      incr pending_rounds;
+      if !pending_rounds >= every then flush ~rounds:round ~fired
+    end
   in
   let budget =
     Budget.with_rounds budget (max 0 (budget.Budget.max_rounds - start.chk_rounds))

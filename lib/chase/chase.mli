@@ -93,19 +93,13 @@ type checkpoint = {
   chk_fired : int;
 }
 (** On-disk chase state, journaled through a delta chain of
-    {!log_config}: a base encoding of the whole state plus one record per
-    checkpoint barrier. *)
+    {!log_config}: a base encoding of the state the chain started from
+    plus one record per checkpoint barrier. *)
 
 val log_config :
-  ?keep:int ->
-  ?fsync:bool ->
-  dir:string ->
-  name:string ->
-  unit ->
-  Delta_log.config
-(** An incremental checkpoint log of kind ["chase-delta"] under [dir]
-    ([keep] generations retained after compaction, default 2).  [fsync]
-    syncs every barrier (default off — kill -9 does not need it). *)
+  ?fsync:bool -> dir:string -> name:string -> unit -> Delta_log.config
+(** An incremental checkpoint log of kind ["chase-delta"] under [dir].
+    [fsync] syncs every barrier (default off — kill -9 does not need it). *)
 
 val decode_chain : Delta_log.chain -> checkpoint
 (** Replay a loaded chain (base + verified deltas) to its state: the
@@ -122,7 +116,7 @@ val restricted_resumable :
 (** {!restricted} with incremental durable checkpoints: one engine run
     whose round barriers are journaled — one record every [every]
     committed rounds (default 8; [every = 1] is affordable, records cost
-    only that span's new facts), compacted by {!Delta_log.record}.  The
+    only that span's new facts), appended by {!Delta_log.append}.  The
     run resumes from the journal's loaded state when there is one, and
     otherwise starts a fresh chain from the input.  The chain is removed
     when the chase terminates; on truncation, a faulted round included, it

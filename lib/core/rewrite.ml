@@ -42,8 +42,8 @@ let default_config =
 
 let log_kind = "rewrite-delta"
 
-let log_config ?keep ?fsync ~dir ~name () =
-  Delta_log.config ?keep ?fsync ~dir ~name ~kind:log_kind ()
+let log_config ?fsync ~dir ~name () =
+  Delta_log.config ?fsync ~dir ~name ~kind:log_kind ()
 
 type outcome =
   | Rewritable of Tgd.t list
@@ -66,8 +66,9 @@ let pp_outcome ppf = function
 
 (* Base and delta records share one shape: the cursor {e after} the carried
    entries, then the entries themselves ((tgd, answer) pairs, structurally
-   encoded — no [Marshal]).  A base carries the whole screened prefix, a
-   delta only the entries committed since the previous record; folding
+   encoded — no [Marshal]).  A base carries the screened prefix the chain
+   started from, a delta only the entries committed since the previous
+   record; folding
    base + deltas in order reconstructs the checkpoint exactly. *)
 let encode_entries ~cursor entries =
   let buf = Buffer.create 512 in
@@ -269,16 +270,14 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
   in
   (* Entries committed since the last record, newest first: a record
      appends only these, so its cost is the batches since the last save,
-     not the whole prefix; the full prefix is encoded only when the chain
-     compacts into a fresh base. *)
+     not the whole prefix. *)
   let unsaved = ref [] in
-  let persist ~cursor ~prefix =
+  let persist ~cursor =
     Option.iter
       (fun t ->
         let fresh = List.rev !unsaved in
         unsaved := [];
-        Delta_log.record t (encode_entries ~cursor fresh) ~base:(fun () ->
-            encode_entries ~cursor (prefix ())))
+        Delta_log.append t (encode_entries ~cursor fresh))
       log
   in
   (* One batch's answers, in batch order.  Prefiltered candidates are
@@ -339,8 +338,7 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
                 incr since_save;
                 if !since_save >= config.checkpoint_every then begin
                   since_save := 0;
-                  persist ~cursor:!cursor ~prefix:(fun () ->
-                      List.rev !screened_rev)
+                  persist ~cursor:!cursor
                 end
               end)
           | exception Chaos.Injected site -> trip := Some (Budget.Fault site)
@@ -377,7 +375,7 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
   in
   let truncated ~phase reason =
     let cp = { cursor; screened_prefix = screened } in
-    persist ~cursor ~prefix:(fun () -> screened);
+    persist ~cursor;
     Option.iter Delta_log.close log;
     let partial =
       mk_report
@@ -420,7 +418,7 @@ let rewrite_into ?(config = default_config) ?resume enumerate ~complete sigma =
            than the unbudgeted run's — report it as truncated with the
            full checkpoint so a resume recomputes the tail phases *)
         let cp = { cursor; screened_prefix = screened } in
-        persist ~cursor ~prefix:(fun () -> screened);
+        persist ~cursor;
         Option.iter Delta_log.close log;
         let partial = mk_report outcome (Some cp) in
         Budget.Truncated { reason; partial; progress = partial.stats }

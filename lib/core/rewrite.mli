@@ -87,15 +87,10 @@ type outcome =
 val pp_outcome : outcome Fmt.t
 
 val log_config :
-  ?keep:int ->
-  ?fsync:bool ->
-  dir:string ->
-  name:string ->
-  unit ->
+  ?fsync:bool -> dir:string -> name:string -> unit ->
   Tgd_engine.Delta_log.config
 (** An incremental checkpoint log of kind ["rewrite-delta"] under [dir]
-    ([keep] generations retained after compaction, default 2; [fsync]
-    syncs every barrier, default off). *)
+    ([fsync] syncs every barrier, default off). *)
 
 val decode_chain : Tgd_engine.Delta_log.chain -> checkpoint
 (** Replay a loaded sweep chain to its checkpoint: the [decode] to pass

@@ -1,23 +1,21 @@
-(* Generational base + delta-chain checkpoints.  See the .mli for the file
+(* Append-only base + record-log checkpoints.  See the .mli for the file
    layout and recovery contract.
 
-   Crash ordering: a new generation is made durable base-first (atomic
-   tmp+rename), then its empty log, then the pointer switch — so at any
-   instant the pointer names a generation whose base is complete.  A crash
-   between the base write and the pointer switch leaves an orphan newer
-   generation; the loader prefers the pointer but falls back to on-disk
-   generations (newest first), so even that window resumes. *)
+   Crash ordering: a chain is made durable base-first (atomic tmp+rename),
+   then its log is created under a header naming the base's CRC-32 — so a
+   log on disk always has a complete base under it, and a crash between
+   the two leaves a base alone, which loads as an empty chain.  {!remove}
+   deletes the log before the base for the same reason. *)
 
 type config = {
   dir : string;
   name : string;
   kind : string;
   version : int;
-  keep : int;
   fsync : bool;
 }
 
-let config ?(version = 1) ?(keep = 2) ?(fsync = false) ~dir ~name ~kind () =
+let config ?(version = 1) ?(fsync = false) ~dir ~name ~kind () =
   String.iter
     (fun c ->
       match c with
@@ -25,20 +23,13 @@ let config ?(version = 1) ?(keep = 2) ?(fsync = false) ~dir ~name ~kind () =
       | _ -> invalid_arg "Delta_log.config: name must be a plain file stem")
     name;
   if name = "" then invalid_arg "Delta_log.config: empty name";
-  if keep < 1 then invalid_arg "Delta_log.config: keep must be >= 1";
-  { dir; name; kind; version; keep; fsync }
+  { dir; name; kind; version; fsync }
 
-let ptr_magic = "TGDLOGPTR1"
-let base_magic = "TGDBASE1"
-let log_magic = "TGDLOG1"
+let base_magic = "TGDBASE2"
+let log_magic = "TGDLOG2"
 
-let current_path c = Filename.concat c.dir (c.name ^ ".current")
-
-let base_path c ~generation =
-  Filename.concat c.dir (Printf.sprintf "%s.%d.base" c.name generation)
-
-let log_path c ~generation =
-  Filename.concat c.dir (Printf.sprintf "%s.%d.log" c.name generation)
+let base_path c = Filename.concat c.dir (c.name ^ ".base")
+let log_path c = Filename.concat c.dir (c.name ^ ".log")
 
 type error = { path : string; message : string }
 
@@ -46,7 +37,6 @@ let pp_error ppf e = Fmt.pf ppf "%s: %s" e.path e.message
 let error_to_string e = Fmt.str "%a" pp_error e
 
 type chain = {
-  generation : int;
   base : string;
   deltas : string list;
   torn_bytes : int;
@@ -94,60 +84,16 @@ let write_atomic c path contents =
       sync_out c oc);
   Sys.rename tmp path
 
-(* Generations with a base file on disk, newest first. *)
-let gens_on_disk c =
-  let prefix = c.name ^ "." and suffix = ".base" in
-  let files = try Sys.readdir c.dir with Sys_error _ -> [||] in
-  Array.to_list files
-  |> List.filter_map (fun f ->
-         if
-           String.length f > String.length prefix + String.length suffix
-           && String.sub f 0 (String.length prefix) = prefix
-           && Filename.check_suffix f suffix
-         then
-           int_of_string_opt
-             (String.sub f (String.length prefix)
-                (String.length f - String.length prefix - String.length suffix))
-         else None)
-  |> List.sort_uniq (fun a b -> Int.compare b a)
+let crc_of s = Wire.crc32 s ~pos:0 ~len:(String.length s)
 
 (* ------------------------------------------------------------------ *)
-(* Pointer file                                                        *)
+(* The base file                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type pointer =
-  | P_missing
-  | P_ok of string * int * int (* kind, version, generation *)
-  | P_bad of error
-
-let read_pointer c =
-  let p = current_path c in
-  if not (Sys.file_exists p) then P_missing
-  else
-    match read_file p with
-    | exception Sys_error m -> P_bad { path = p; message = m }
-    | src -> (
-      match String.split_on_char ' ' (String.trim src) with
-      | [ magic; kind; version; generation ] when magic = ptr_magic -> (
-        match (int_of_string_opt version, int_of_string_opt generation) with
-        | Some v, Some g -> P_ok (kind, v, g)
-        | _ -> P_bad { path = p; message = "malformed pointer fields" })
-      | _ -> P_bad { path = p; message = "not a delta-log pointer" })
-
-let write_pointer c ~generation =
-  write_atomic c (current_path c)
-    (Printf.sprintf "%s %s %d %d\n" ptr_magic c.kind c.version generation)
-
-(* ------------------------------------------------------------------ *)
-(* Base files                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let write_base c ~generation base =
-  let crc = Wire.crc32 base ~pos:0 ~len:(String.length base) in
-  write_atomic c
-    (base_path c ~generation)
-    (Printf.sprintf "%s\nkind %s\nversion %d\ngeneration %d\nlength %d\ncrc %08x\n\n%s"
-       base_magic c.kind c.version generation (String.length base) crc base);
+let write_base c base =
+  write_atomic c (base_path c)
+    (Printf.sprintf "%s\nkind %s\nversion %d\nlength %d\ncrc %08x\n\n%s"
+       base_magic c.kind c.version (String.length base) (crc_of base) base);
   let g = Stats.global () in
   g.Stats.snapshots <- g.Stats.snapshots + 1
 
@@ -181,7 +127,6 @@ let parse_base src =
   else
     let* kind = field "kind" in
     let* version = int_field "version" in
-    let* generation = int_field "generation" in
     let* length = int_field "length" in
     let* crc_s = field "crc" in
     let* blank = line () in
@@ -193,48 +138,34 @@ let parse_base src =
     else
       let crc = Wire.crc32 src ~pos:!pos ~len:length in
       if Printf.sprintf "%08x" crc <> crc_s then Error "payload CRC mismatch"
-      else Ok (kind, version, generation, String.sub src !pos length)
+      else Ok (kind, version, crc, String.sub src !pos length)
 
-let read_base c ~generation =
-  let p = base_path c ~generation in
+let read_base c =
+  let p = base_path c in
+  let err message = Error { path = p; message } in
   match read_file p with
-  | exception Sys_error m -> Error { path = p; message = m }
+  | exception Sys_error m -> err m
   | src -> (
     match parse_base src with
-    | Error m -> Error { path = p; message = m }
-    | Ok (kind, version, g, payload) ->
-      if kind <> c.kind then
-        Error
-          { path = p;
-            message =
-              Printf.sprintf "base of kind %S, expected %S" kind c.kind
-          }
-      else if version <> c.version then
-        Error
-          { path = p;
-            message =
-              Printf.sprintf "format version %d, expected %d" version c.version
-          }
-      else if g <> generation then
-        Error
-          { path = p;
-            message =
-              Printf.sprintf "header names generation %d, file is %d" g
-                generation
-          }
-      else Ok payload)
+    | Error m -> err m
+    | Ok (kind, _, _, _) when kind <> c.kind ->
+      err (Printf.sprintf "base of kind %S, expected %S" kind c.kind)
+    | Ok (_, version, _, _) when version <> c.version ->
+      err (Printf.sprintf "format version %d, expected %d" version c.version)
+    | Ok (_, _, crc, payload) -> Ok (payload, crc))
 
 (* ------------------------------------------------------------------ *)
-(* Log files: header line + CRC-framed records                         *)
+(* The log file: header line + CRC-framed records                      *)
 (* ------------------------------------------------------------------ *)
 
-let log_header c ~generation =
-  Printf.sprintf "%s %s %d %d\n" log_magic c.kind c.version generation
+(* The header names the base the records extend, by its payload CRC. *)
+let log_header c ~crc =
+  Printf.sprintf "%s %s %d %08x\n" log_magic c.kind c.version crc
 
 let frame payload =
   let buf = Buffer.create (String.length payload + 10) in
   Wire.write_varint buf (String.length payload);
-  let crc = Wire.crc32 payload ~pos:0 ~len:(String.length payload) in
+  let crc = crc_of payload in
   Buffer.add_char buf (Char.chr (crc land 0xff));
   Buffer.add_char buf (Char.chr ((crc lsr 8) land 0xff));
   Buffer.add_char buf (Char.chr ((crc lsr 16) land 0xff));
@@ -365,197 +296,119 @@ let scan_log path src start =
     ls_valid = !valid
   }
 
-(* [ls_valid = 0] signals "no usable header": {!resume} recreates the file. *)
-let read_log c ~generation =
-  let p = log_path c ~generation in
+(* The header line's fields, when it is a log header at all. *)
+let parse_log_header src =
+  match String.index_opt src '\n' with
+  | None -> None
+  | Some nl -> (
+    match String.split_on_char ' ' (String.sub src 0 nl) with
+    | [ magic; kind; version; crc ] when magic = log_magic ->
+      Option.map (fun v -> (kind, v, crc, nl + 1)) (int_of_string_opt version)
+    | _ -> None)
+
+(* [ls_valid = 0] signals "no usable header": {!resume} recreates the file.
+   A well-formed header for another base is an error: its records extend a
+   state this base is not. *)
+let read_log c ~crc =
+  let p = log_path c in
   match read_file p with
   | exception Sys_error _ ->
     (* a base without a log is the crash window between the base write and
        the log create — an empty chain, not an error *)
-    empty_scan
+    Ok empty_scan
   | src -> (
-    let expected = log_header c ~generation in
-    let hlen = String.length expected in
-    if String.length src >= hlen && String.sub src 0 hlen = expected then
-      scan_log p src hlen
-    else
-      { empty_scan with
-        ls_warnings =
-          [ Printf.sprintf
-              "%s: log header unreadable; dropped the whole chain (%d bytes)"
-              p (String.length src)
-          ]
-      })
+    let expected = log_header c ~crc in
+    match parse_log_header src with
+    | Some (_, _, _, start) when String.sub src 0 start = expected ->
+      Ok (scan_log p src start)
+    | Some (kind, version, crc', _) ->
+      Error
+        { path = p;
+          message =
+            Printf.sprintf
+              "log written against another base (kind %S, version %d, base \
+               crc %s; the base is kind %S, version %d, crc %08x)"
+              kind version crc' c.kind c.version crc
+        }
+    | None ->
+      Ok
+        { empty_scan with
+          ls_warnings =
+            [ Printf.sprintf
+                "%s: log header unreadable; dropped the whole chain (%d bytes)"
+                p (String.length src)
+            ]
+        })
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let load_generation c ~generation ~extra_warnings =
-  match read_base c ~generation with
-  | Error e -> Error e
-  | Ok base ->
-    let scan = read_log c ~generation in
-    Ok
-      { generation;
-        base;
-        deltas = scan.ls_deltas;
-        torn_bytes = scan.ls_torn;
-        dropped_records = scan.ls_dropped;
-        warnings = extra_warnings @ scan.ls_warnings;
-        log_valid_bytes = scan.ls_valid
-      }
-
 let load c =
-  let pointer = read_pointer c in
-  let disk = gens_on_disk c in
-  let pointer_gen, pointer_warnings =
-    match pointer with
-    | P_missing -> (None, [])
-    | P_bad e -> (None, [ Printf.sprintf "%s: %s" e.path e.message ])
-    | P_ok (kind, version, g) ->
-      if kind <> c.kind || version <> c.version then
-        ( None,
-          [ Printf.sprintf
-              "%s: pointer names kind %S version %d, expected %S version %d"
-              (current_path c) kind version c.kind c.version
-          ] )
-      else (Some g, [])
-  in
-  let candidates =
-    match pointer_gen with
-    | Some g -> g :: List.filter (fun g' -> g' <> g) disk
-    | None -> disk
-  in
-  if candidates = [] then
-    if pointer = P_missing then Fresh
-    else
-      Rejected
-        [ { path = current_path c;
-            message =
-              (match pointer_warnings with
-              | m :: _ -> m
-              | [] -> "pointer names a generation with no files on disk")
+  let has_base = Sys.file_exists (base_path c) in
+  if not (has_base || Sys.file_exists (log_path c)) then Fresh
+  else if not has_base then
+    Rejected [ { path = log_path c; message = "log without its base" } ]
+  else
+    match read_base c with
+    | Error e -> Rejected [ e ]
+    | Ok (base, crc) -> (
+      match read_log c ~crc with
+      | Error e -> Rejected [ e ]
+      | Ok scan ->
+        let chain =
+          { base;
+            deltas = scan.ls_deltas;
+            torn_bytes = scan.ls_torn;
+            dropped_records = scan.ls_dropped;
+            warnings = scan.ls_warnings;
+            log_valid_bytes = scan.ls_valid
           }
-        ]
-  else begin
-    let errors = ref [] in
-    let rec try_gens first = function
-      | [] -> Rejected (List.rev !errors)
-      | g :: rest ->
-        let fallback_warnings =
-          if first then pointer_warnings
-          else
-            pointer_warnings
-            @ List.rev_map
-                (fun e -> Printf.sprintf "%s: %s" e.path e.message)
-                !errors
-            @ [ Printf.sprintf
-                  "fell back to generation %d (newer generations unreadable)"
-                  g
-              ]
         in
-        (match load_generation c ~generation:g ~extra_warnings:fallback_warnings with
-        | Error e ->
-          errors := e :: !errors;
-          try_gens false rest
-        | Ok chain ->
-          if chain.warnings = [] then Resumed chain else Resumed_partial chain)
-    in
-    try_gens true candidates
-  end
+        if chain.warnings = [] then Resumed chain else Resumed_partial chain)
 
 (* ------------------------------------------------------------------ *)
 (* Appending                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type t = {
-  cfg : config;
-  mutable gen : int;
-  mutable oc : out_channel option;
-  mutable count : int;
-}
+type t = { cfg : config; mutable oc : out_channel option }
 
-let prune c ~newest =
-  List.iter
-    (fun g ->
-      if g <= newest - c.keep then
-        List.iter
-          (fun p -> try Sys.remove p with Sys_error _ -> ())
-          [ base_path c ~generation:g; log_path c ~generation:g ])
-    (gens_on_disk c)
-
-let open_generation c ~generation ~base =
-  mkdir_p c.dir;
-  write_base c ~generation base;
-  let oc = open_out_bin (log_path c ~generation) in
-  output_string oc (log_header c ~generation);
+let create_log c ~crc =
+  let oc = open_out_bin (log_path c) in
+  output_string oc (log_header c ~crc);
   sync_out c oc;
-  write_pointer c ~generation;
-  prune c ~newest:generation;
   oc
 
 let start c ~base =
   mkdir_p c.dir;
-  let newest =
-    List.fold_left max
-      (match read_pointer c with P_ok (_, _, g) -> g | _ -> 0)
-      (gens_on_disk c)
-  in
-  let generation = newest + 1 in
-  let oc = open_generation c ~generation ~base in
-  { cfg = c; gen = generation; oc = Some oc; count = 0 }
+  write_base c base;
+  { cfg = c; oc = Some (create_log c ~crc:(crc_of base)) }
 
 let resume c chain =
-  let p = log_path c ~generation:chain.generation in
   let oc =
     if chain.log_valid_bytes = 0 then begin
       (* missing log or unusable header: recreate it fresh *)
       mkdir_p c.dir;
-      let oc = open_out_bin p in
-      output_string oc (log_header c ~generation:chain.generation);
-      sync_out c oc;
-      oc
+      create_log c ~crc:(crc_of chain.base)
     end
     else begin
       (* drop the unverified suffix so appends extend the good prefix *)
+      let p = log_path c in
       (try Unix.truncate p chain.log_valid_bytes
        with Unix.Unix_error _ -> ());
       open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 p
     end
   in
-  (* make a generation fallback durable: later loads go straight there *)
-  (match read_pointer c with
-  | P_ok (k, v, g) when k = c.kind && v = c.version && g = chain.generation ->
-    ()
-  | _ -> write_pointer c ~generation:chain.generation);
-  { cfg = c; gen = chain.generation; oc = Some oc; count = List.length chain.deltas }
-
-let channel t =
-  match t.oc with
-  | Some oc -> oc
-  | None -> invalid_arg "Delta_log: handle is closed"
+  { cfg = c; oc = Some oc }
 
 let append t payload =
-  let oc = channel t in
-  output_string oc (frame payload);
-  sync_out t.cfg oc;
-  t.count <- t.count + 1;
-  let g = Stats.global () in
-  g.Stats.delta_records <- g.Stats.delta_records + 1
-
-let compact t ~base =
-  ignore (channel t);
-  Option.iter close_out_noerr t.oc;
-  let generation = t.gen + 1 in
-  let oc = open_generation t.cfg ~generation ~base in
-  t.gen <- generation;
-  t.count <- 0;
-  t.oc <- Some oc;
-  let g = Stats.global () in
-  g.Stats.compactions <- g.Stats.compactions + 1
-
-let generation t = t.gen
+  match t.oc with
+  | None -> invalid_arg "Delta_log: handle is closed"
+  | Some oc ->
+    output_string oc (frame payload);
+    sync_out t.cfg oc;
+    let g = Stats.global () in
+    g.Stats.delta_records <- g.Stats.delta_records + 1
 
 let close t =
   Option.iter close_out_noerr t.oc;
@@ -564,14 +417,7 @@ let close t =
 let remove c =
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
-    (current_path c :: (current_path c ^ ".tmp")
-    :: List.concat_map
-         (fun g ->
-           [ base_path c ~generation:g;
-             base_path c ~generation:g ^ ".tmp";
-             log_path c ~generation:g
-           ])
-         (gens_on_disk c))
+    [ log_path c; base_path c; base_path c ^ ".tmp" ]
 
 (* ------------------------------------------------------------------ *)
 (* Journals: how a resumable run checkpoints                           *)
@@ -604,14 +450,6 @@ let open_journal j ~base =
   | Some r -> resume j.log r.chain
   | None -> start j.log ~base:(base ())
 
-(* Records per generation; past this the chain is folded into a fresh
-   base, so replay work and retained bytes stay bounded. *)
-let compact_threshold = 64
-
-let record t payload ~base =
-  append t payload;
-  if t.count >= compact_threshold then compact t ~base:(base ())
-
 let finish t =
   close t;
   remove t.cfg
@@ -620,89 +458,61 @@ let finish t =
 (* Inspection                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type generation_info = {
-  g_generation : int;
-  g_current : bool;
-  g_base_path : string;
-  g_base_bytes : int;
-  g_base_status : [ `Ok | `Missing | `Bad of string ];
-  g_log_path : string;
-  g_log_bytes : int;
-  g_records : record_info list;
+type inspection = {
+  base_file : string;
+  base_bytes : int;
+  base_status : [ `Ok of string * int | `Missing | `Bad of string ];
+  log_file : string;
+  log_bytes : int;
+  log_status : [ `Ok | `Missing | `Bad of string ];
+  records : record_info list;
 }
 
 let file_size p = try (Unix.stat p).Unix.st_size with Unix.Unix_error _ -> 0
 
 let inspect ~dir ~name =
   (* a lenient config: paths only, no kind/version expectations *)
-  let c = { dir; name; kind = ""; version = 0; keep = 1; fsync = false } in
-  let pointer =
-    match read_pointer c with P_ok (k, v, g) -> Some (k, v, g) | _ -> None
+  let c = { dir; name; kind = ""; version = 0; fsync = false } in
+  let bp = base_path c and lp = log_path c in
+  let base =
+    if not (Sys.file_exists bp) then Error `Missing
+    else
+      match read_file bp with
+      | exception Sys_error m -> Error (`Bad m)
+      | src -> Result.map_error (fun m -> `Bad m) (parse_base src)
   in
-  let disk = gens_on_disk c in
-  let gens =
-    match pointer with
-    | Some (_, _, g) when not (List.mem g disk) ->
-      List.sort (fun a b -> Int.compare b a) (g :: disk)
-    | _ -> disk
+  let log_status, records =
+    match read_file lp with
+    | exception Sys_error _ -> (`Missing, [])
+    | src -> (
+      match (parse_log_header src, base) with
+      | None, _ -> (`Bad "unreadable header", [])
+      | Some (_, _, crc, start), Ok (_, _, base_crc, _)
+        when crc <> Printf.sprintf "%08x" base_crc ->
+        ( `Bad (Printf.sprintf "written against base crc %s" crc),
+          (scan_log lp src start).ls_records )
+      | Some (_, _, _, start), _ -> (`Ok, (scan_log lp src start).ls_records))
   in
-  let info g =
-    let bp = base_path c ~generation:g and lp = log_path c ~generation:g in
-    let base_status =
-      if not (Sys.file_exists bp) then `Missing
-      else
-        match read_file bp with
-        | exception Sys_error m -> `Bad m
-        | src -> (
-          match parse_base src with
-          | Error m -> `Bad m
-          | Ok (_, _, hg, _) when hg <> g ->
-            `Bad (Printf.sprintf "header names generation %d" hg)
-          | Ok _ -> `Ok)
-    in
-    let records =
-      match read_file lp with
-      | exception Sys_error _ -> []
-      | src ->
-        (* skip the header line, whatever its fields say *)
-        let start =
-          match String.index_opt src '\n' with
-          | Some nl
-            when String.length src >= String.length log_magic
-                 && String.sub src 0 (String.length log_magic) = log_magic ->
-            nl + 1
-          | _ -> 0
-        in
-        (scan_log lp src start).ls_records
-    in
-    { g_generation = g;
-      g_current =
-        (match pointer with Some (_, _, pg) -> pg = g | None -> false);
-      g_base_path = bp;
-      g_base_bytes = file_size bp;
-      g_base_status = base_status;
-      g_log_path = lp;
-      g_log_bytes = file_size lp;
-      g_records = records
-    }
-  in
-  (pointer, List.map info gens)
+  { base_file = bp;
+    base_bytes = file_size bp;
+    base_status =
+      (match base with
+      | Ok (kind, version, _, _) -> `Ok (kind, version)
+      | Error s -> s);
+    log_file = lp;
+    log_bytes = file_size lp;
+    log_status;
+    records
+  }
 
 let scan ~dir =
   let files = try Sys.readdir dir with Sys_error _ -> [||] in
   Array.to_list files
   |> List.filter_map (fun f ->
-         if Filename.check_suffix f ".current" then
-           Some (Filename.chop_suffix f ".current")
-         else if Filename.check_suffix f ".base" then
-           (* strip ".<gen>.base" *)
-           let stem = Filename.chop_suffix f ".base" in
-           match String.rindex_opt stem '.' with
-           | Some i
-             when i < String.length stem - 1
-                  && int_of_string_opt
-                       (String.sub stem (i + 1) (String.length stem - i - 1))
-                     <> None -> Some (String.sub stem 0 i)
-           | _ -> None
-         else None)
+         List.find_map
+           (fun suffix ->
+             if Filename.check_suffix f suffix then
+               Some (Filename.chop_suffix f suffix)
+             else None)
+           [ ".base"; ".log" ])
   |> List.sort_uniq String.compare

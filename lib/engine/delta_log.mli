@@ -1,22 +1,21 @@
-(** Incremental checkpoints: a full base snapshot plus an append-only chain
-    of delta records, with generational compaction and a graceful recovery
-    ladder.
+(** Incremental checkpoints: one base snapshot plus an append-only log of
+    delta records, with a graceful recovery ladder.
 
-    A log named [name] under [dir] occupies three kinds of file:
+    Both users checkpoint a state that only grows (the chase adds facts,
+    a §9 sweep lengthens its screened prefix), so base + records is the
+    state and nothing is ever folded or rewritten.  A chain named [name]
+    under [dir] is exactly two files:
 
-    - [name.current] — a one-line pointer naming the live generation,
-      replaced atomically ([.tmp] + rename);
-    - [name.<g>.base] — the full state as of the start of generation [g]:
-      a plain-text header (magic, kind, version, generation, payload length,
-      CRC-32) followed by one binary payload;
-    - [name.<g>.log] — a header line followed by CRC-framed records
-      (varint payload length, 4-byte little-endian CRC-32, payload)
-      appended at each checkpoint barrier.
+    - [name.base] — the state when the chain started, written once
+      (atomic [.tmp] + rename): a plain-text header (magic, kind, version,
+      payload length, CRC-32) followed by one binary payload;
+    - [name.log] — a header line (magic, kind, version, the base payload's
+      CRC-32) followed by CRC-framed records (varint payload length,
+      4-byte little-endian CRC-32, payload) appended at each checkpoint
+      barrier.
 
     Payloads are opaque byte strings; callers bring their own codecs
-    ({!Codec}).  {!compact} folds the chain into a fresh generation's base
-    and retires generations beyond [keep], so the files on disk stay
-    bounded however long the run.
+    ({!Codec}).  {!finish} removes both files once the run completes.
 
     Recovery distinguishes the two ways a chain goes bad.  A record cut off
     by the end of the file is the expected signature of a crash mid-append
@@ -24,49 +23,41 @@
     as clean ({!Resumed} with [torn_bytes > 0]).  A CRC-invalid record with
     more bytes after it means real corruption: the verified prefix is kept,
     the damage is reported as warnings, and the load is {!Resumed_partial}
-    — degraded, but never a hard failure while any prefix verifies.  When
-    the live generation's base itself is unreadable, older retained
-    generations are tried before rejecting.
+    — degraded, but never a hard failure while the base verifies.  An
+    unreadable base, or a log whose header names another base's CRC, is
+    {!Rejected}: no record is ever replayed onto a base it was not written
+    against.
 
     Durability: writes are buffered and flushed per record; [fsync]
-    additionally syncs the descriptor at every barrier (base writes,
-    appends, pointer switches), trading throughput for power-loss safety.
-    Kill -9 alone never needs it — the page cache survives the process.
+    additionally syncs the descriptor at every barrier (the base write and
+    each append), trading throughput for power-loss safety.  Kill -9 alone
+    never needs it — the page cache survives the process.
 
     Counters: base writes bump [Stats.snapshots], appends
-    [Stats.delta_records], compactions [Stats.compactions]. *)
+    [Stats.delta_records]. *)
 
 type config = {
   dir : string;
   name : string;  (** plain file stem, no path separators *)
   kind : string;  (** payload type tag; mismatches are rejected at load *)
   version : int;
-  keep : int;  (** generations retained after compaction (≥ 1) *)
   fsync : bool;
 }
 
 val config :
-  ?version:int ->
-  ?keep:int ->
-  ?fsync:bool ->
-  dir:string ->
-  name:string ->
-  kind:string ->
-  unit ->
-  config
-(** [version] defaults to 1, [keep] to 2, [fsync] to false.
-    @raise Invalid_argument on a non-filename [name] or [keep < 1]. *)
+  ?version:int -> ?fsync:bool -> dir:string -> name:string -> kind:string ->
+  unit -> config
+(** [version] defaults to 1, [fsync] to false.
+    @raise Invalid_argument on a non-filename [name]. *)
 
-val current_path : config -> string
-val base_path : config -> generation:int -> string
-val log_path : config -> generation:int -> string
+val base_path : config -> string
+val log_path : config -> string
 
 type error = { path : string; message : string }
 
 val error_to_string : error -> string
 
 type chain = {
-  generation : int;
   base : string;  (** the base payload, CRC-verified *)
   deltas : string list;  (** verified record payloads, in append order *)
   torn_bytes : int;
@@ -84,24 +75,20 @@ type load =
   | Fresh  (** nothing on disk: start from scratch *)
   | Resumed of chain  (** clean chain (a torn tail does not count against) *)
   | Resumed_partial of chain
-      (** a verified prefix was recovered, but records were lost to
-          mid-chain corruption or the load fell back to an older
-          generation; [warnings] says what was dropped *)
+      (** the base verified, but records were lost to mid-chain corruption
+          or an unreadable log header; [warnings] says what was dropped *)
   | Rejected of error list
-      (** files exist but no generation yields a verifiable base *)
+      (** files exist but the base does not verify (or is missing, or the
+          log was written against another base) *)
 
 val load : config -> load
-(** Never raises on corrupt input.  Tries the generation named by
-    [name.current] first, then any other on-disk generations newest
-    first. *)
+(** Never raises on corrupt input. *)
 
 type t
-(** An open log handle, appending to one generation. *)
+(** An open log handle, appending to one chain. *)
 
 val start : config -> base:string -> t
-(** Begin a new generation: write its base atomically, start an empty
-    record chain, switch the pointer, and prune generations beyond
-    [keep]. *)
+(** Begin a chain: write its base atomically, then an empty log. *)
 
 val resume : config -> chain -> t
 (** Reopen a loaded chain for appending.  The unverified suffix (torn tail
@@ -111,36 +98,28 @@ val resume : config -> chain -> t
 val append : t -> string -> unit
 (** Append one CRC-framed delta record and flush it. *)
 
-val compact : t -> base:string -> unit
-(** Fold the chain into a fresh generation whose base is [base] (the
-    caller's encoding of the current full state), then prune old
-    generations.  Equivalent to {!start} on the same handle. *)
-
-val generation : t -> int
-
 val close : t -> unit
 
 val remove : config -> unit
-(** Delete the pointer and every generation's files — call when the
-    checkpointed computation completes, so a later run starts {!Fresh}. *)
+(** Delete the chain's files — call when the checkpointed computation
+    completes, so a later run starts {!Fresh}. *)
 
 (** {1 Journals}
 
     How a resumable run checkpoints, whatever its state: the caller brings
     only its codec (encode the base, encode a record, decode a chain).
     {!load_journal} finds what is on disk, {!open_journal} starts a fresh
-    chain or reopens the loaded one, {!record} appends (compacting at a
-    fixed threshold) and {!finish} removes the chain once the run
-    completes.  The chase ([Chase.restricted_resumable]) and the rewriting
-    sweeps ([Rewrite.g_to_l] and kin) both take a journal. *)
+    chain or reopens the loaded one, {!append} records and {!finish}
+    removes the chain once the run completes.  The chase
+    ([Chase.restricted_resumable]) and the rewriting sweeps
+    ([Rewrite.g_to_l] and kin) both take a journal. *)
 
 type 'state resumed = {
   state : 'state;  (** base + verified deltas, decoded *)
   chain : chain;  (** where appends continue *)
   warnings : string list;
       (** non-empty = degraded resume: records were lost to mid-chain
-          corruption or a generation fallback (surface these, then
-          continue) *)
+          corruption (surface these, then continue) *)
 }
 
 type 'state journal = {
@@ -156,18 +135,13 @@ val load_journal :
     start fresh; [Ok] with [Some r] — resume from [r] (a torn final record,
     the kill -9 signature, is dropped silently; mid-chain corruption lands
     in [r.warnings] with the resume taken from the last verifiable prefix);
-    [Error] — no generation yields a verifiable base, or the verified bytes
-    do not decode ([Wire.Corrupt] or [Invalid_argument] out of [decode]):
-    surface the diagnoses, don't silently restart. *)
+    [Error] — the chain is {!Rejected}, or the verified bytes do not decode
+    ([Wire.Corrupt] or [Invalid_argument] out of [decode]): surface the
+    diagnoses, don't silently restart. *)
 
 val open_journal : 'state journal -> base:(unit -> string) -> t
 (** Start or resume: {!resume} the loaded chain, or {!start} a fresh one
     whose base is [base ()]. *)
-
-val record : t -> string -> base:(unit -> string) -> unit
-(** {!append} one record; once the generation holds 64 records, {!compact}
-    it into a fresh base [base ()] (the caller's encoding of the state the
-    chain now describes). *)
 
 val finish : t -> unit
 (** {!close} the handle and {!remove} its chain: the run completed. *)
@@ -181,23 +155,22 @@ type record_info = {
   r_status : [ `Ok | `Torn | `Corrupt of string ];
 }
 
-type generation_info = {
-  g_generation : int;
-  g_current : bool;  (** named by the pointer file *)
-  g_base_path : string;
-  g_base_bytes : int;  (** file size; 0 when missing *)
-  g_base_status : [ `Ok | `Missing | `Bad of string ];
-  g_log_path : string;
-  g_log_bytes : int;
-  g_records : record_info list;
+type inspection = {
+  base_file : string;
+  base_bytes : int;  (** file size; 0 when missing *)
+  base_status : [ `Ok of string * int | `Missing | `Bad of string ];
+      (** [`Ok (kind, version)] when the header parses and the CRC holds *)
+  log_file : string;
+  log_bytes : int;
+  log_status : [ `Ok | `Missing | `Bad of string ];
+      (** [`Bad] for an unreadable header or one naming another base *)
+  records : record_info list;
 }
 
-val inspect :
-  dir:string -> name:string -> (string * int * int) option * generation_info list
-(** All on-disk generations of [name] (newest first) with per-record CRC
-    status, plus the pointer's [(kind, version, generation)] when readable.
-    Purely observational: no kind/version check, nothing modified. *)
+val inspect : dir:string -> name:string -> inspection
+(** The chain [name]'s base status plus per-record CRC status.  Purely
+    observational: no kind/version check, nothing modified. *)
 
 val scan : dir:string -> string list
-(** Names of the delta logs under [dir] (stems of [*.current] files and of
-    any orphaned [*.N.base]), sorted. *)
+(** Names of the chains under [dir] (stems of [*.base] and [*.log]
+    files), sorted. *)

@@ -320,7 +320,13 @@ let body_key atoms =
   key
 
 (* Per-domain key cache: no locks, and physical-equality-friendly reuse
-   within a domain covers the common sweep shapes. *)
+   within a domain covers the common sweep shapes.  A domain's table is
+   emptied when it reaches [tgd_keys_cap] entries, so a server keying a
+   stream of never-seen ontologies holds a bounded table.  One Algorithm 1
+   sweep of the layered benchmark ontology keys 348 distinct tgds, so a
+   sweep fits about twelve times over. *)
+let tgd_keys_cap = 4096
+
 let tgd_keys_key : (Tgd.t, string) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
@@ -337,6 +343,7 @@ let tgd_key tgd =
           (sorted_fallback (Tgd.body tgd))
           (sorted_fallback (Tgd.head tgd))
     in
+    if Hashtbl.length tgd_keys >= tgd_keys_cap then Hashtbl.reset tgd_keys;
     Hashtbl.replace tgd_keys tgd k;
     k
 

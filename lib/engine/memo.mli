@@ -87,7 +87,8 @@ val counters : 'a t -> counters
 
 val tgd_key : Tgd.t -> string
 (** Stable under variable renaming and atom reordering (below
-    five atoms); results are cached per tgd. *)
+    five atoms); results are cached per tgd, in a per-domain table that
+    empties itself at 4,096 entries. *)
 
 val sigma_key : Tgd.t list -> string
 (** Stable under renaming, reordering and duplication of the theory's

@@ -8,7 +8,6 @@ type t = {
   mutable memo_misses : int;
   mutable snapshots : int;
   mutable delta_records : int;
-  mutable compactions : int;
   mutable chunks : int;
   mutable chunks_stolen : int;
   mutable chunk_items : int;
@@ -28,7 +27,6 @@ let create () =
     memo_misses = 0;
     snapshots = 0;
     delta_records = 0;
-    compactions = 0;
     chunks = 0;
     chunks_stolen = 0;
     chunk_items = 0;
@@ -50,7 +48,6 @@ let add ~into s =
   into.memo_misses <- into.memo_misses + s.memo_misses;
   into.snapshots <- into.snapshots + s.snapshots;
   into.delta_records <- into.delta_records + s.delta_records;
-  into.compactions <- into.compactions + s.compactions;
   into.chunks <- into.chunks + s.chunks;
   into.chunks_stolen <- into.chunks_stolen + s.chunks_stolen;
   into.chunk_items <- into.chunk_items + s.chunk_items;
@@ -69,7 +66,6 @@ let diff a b =
     memo_misses = a.memo_misses - b.memo_misses;
     snapshots = a.snapshots - b.snapshots;
     delta_records = a.delta_records - b.delta_records;
-    compactions = a.compactions - b.compactions;
     chunks = a.chunks - b.chunks;
     chunks_stolen = a.chunks_stolen - b.chunks_stolen;
     chunk_items = a.chunk_items - b.chunk_items;
@@ -99,10 +95,9 @@ let pp ppf s =
     "@[<v>probes: %d; scans: %d; fired: %d; rounds: %d; delta facts: %d@,\
      memo: %d hits / %d misses (%.0f%% hit rate)@,\
      pool: %d chunks (%d stolen, mean %.1f items/chunk)@,\
-     recovery: %d snapshots written, %d delta records, \
-     %d compactions@,\
+     recovery: %d snapshots written, %d delta records@,\
      time: %.4fs match + %.4fs fire + %.4fs barrier merge + %.4fs load/build@]"
     s.probes s.scans s.fired s.rounds s.delta_facts s.memo_hits s.memo_misses
     (100. *. hit_rate s) s.chunks s.chunks_stolen (mean_chunk_items s)
-    s.snapshots s.delta_records s.compactions s.match_time s.fire_time s.merge_time
+    s.snapshots s.delta_records s.match_time s.fire_time s.merge_time
     s.build_time

@@ -28,7 +28,6 @@ type t = {
   mutable memo_misses : int;
   mutable snapshots : int;   (** checkpoint bases written ({!Delta_log}) *)
   mutable delta_records : int; (** incremental delta records appended ({!Delta_log}) *)
-  mutable compactions : int;   (** delta chains folded into a fresh base *)
   mutable chunks : int;        (** chunks submitted to the {!Pool} *)
   mutable chunks_stolen : int; (** chunks claimed off their intended slot *)
   mutable chunk_items : int;   (** items carried by submitted chunks *)

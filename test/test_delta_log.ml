@@ -1,10 +1,11 @@
 (* Incremental delta checkpoints (Tgd_engine.Delta_log + the chase/rewrite
-   codecs over it): base ∘ appends ∘ compact ∘ load is the identity; a torn
-   final record is dropped silently (clean resume — the kill -9 signature)
-   while mid-chain corruption degrades to the last verifiable prefix
-   (Resumed_partial, never a crash); compaction retires generations beyond
-   [keep]; and a resumed chase replays to exactly the state the truncated
-   run returned, at every (chunk, jobs) and through compactions. *)
+   codecs over it): base ∘ appends ∘ resume ∘ appends ∘ load is the
+   identity; a torn final record is dropped silently (clean resume — the
+   kill -9 signature) while mid-chain corruption degrades to the last
+   verifiable prefix (Resumed_partial, never a crash); a chain is one base
+   and one log however long it grows, and a log is never replayed onto a
+   base it was not written against; and a resumed chase replays to exactly
+   the state the truncated run returned, at every (chunk, jobs). *)
 
 open Tgd_syntax
 open Tgd_instance
@@ -22,8 +23,8 @@ let fresh_dir () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "tgd_delta_test_%d_%d" (Unix.getpid ()) !dir_counter)
 
-let with_log ?keep ?(kind = "test-payload") f =
-  let cfg = Delta_log.config ?keep ~dir:(fresh_dir ()) ~name:"t" ~kind () in
+let with_log ?(kind = "test-payload") f =
+  let cfg = Delta_log.config ~dir:(fresh_dir ()) ~name:"t" ~kind () in
   Fun.protect ~finally:(fun () -> Delta_log.remove cfg) (fun () -> f cfg)
 
 let read_file path =
@@ -74,16 +75,18 @@ let test_crc32_vector () =
 
 (* -- the basic chain contract ------------------------------------------- *)
 
-(* (base writes, delta records, compactions) so far on this domain *)
+(* (base writes, delta records) so far on this domain *)
 let log_counters () =
   let g = Stats.global () in
-  (g.Stats.snapshots, g.Stats.delta_records, g.Stats.compactions)
+  (g.Stats.snapshots, g.Stats.delta_records)
 
-let check_counters what (s0, d0, c0) (ds, dd, dc) =
-  let s, d, c = log_counters () in
+let check_counters what (s0, d0) (ds, dd) =
+  let s, d = log_counters () in
   check_int (what ^ ": snapshots") (s0 + ds) s;
-  check_int (what ^ ": delta records") (d0 + dd) d;
-  check_int (what ^ ": compactions") (c0 + dc) c
+  check_int (what ^ ": delta records") (d0 + dd) d
+
+(* The chain's files on disk, sorted. *)
+let files_of dir = List.sort compare (Array.to_list (Sys.readdir dir))
 
 let test_fresh_then_chain_roundtrip () =
   with_log (fun cfg ->
@@ -92,12 +95,12 @@ let test_fresh_then_chain_roundtrip () =
       | _ -> Alcotest.fail "no files yet: expected Fresh");
       let before = log_counters () in
       let t = Delta_log.start cfg ~base:"BASE" in
-      check_counters "start" before (1, 0, 0);
+      check_counters "start" before (1, 0);
       Delta_log.append t "d1";
-      check_counters "first append" before (1, 1, 0);
+      check_counters "first append" before (1, 1);
       Delta_log.append t "d2";
       Delta_log.append t "d3";
-      check_counters "three appends" before (1, 3, 0);
+      check_counters "three appends" before (1, 3);
       Delta_log.close t;
       (match Delta_log.load cfg with
       | Delta_log.Resumed c ->
@@ -107,8 +110,8 @@ let test_fresh_then_chain_roundtrip () =
         check_int "torn" 0 c.Delta_log.torn_bytes;
         check_bool "clean" true (c.Delta_log.warnings = []);
         let t = Delta_log.resume cfg c in
-        Delta_log.compact t ~base:"BASEd1d2d3";
-        check_counters "compact" before (2, 3, 1);
+        Delta_log.append t "d4";
+        check_counters "resume writes no base" before (1, 4);
         Delta_log.close t
       | _ -> Alcotest.fail "expected clean Resumed");
       Delta_log.remove cfg;
@@ -133,31 +136,45 @@ let test_append_after_resume () =
           "extended chain" [ "one"; "two" ] c.Delta_log.deltas
       | _ -> Alcotest.fail "expected Resumed after re-append")
 
-let test_compaction_prunes_generations () =
-  with_log ~keep:2 (fun cfg ->
-      let t = Delta_log.start cfg ~base:"g1" in
-      Delta_log.append t "a";
-      Delta_log.compact t ~base:"g2";
-      Delta_log.append t "b";
-      Delta_log.compact t ~base:"g3";
-      Delta_log.compact t ~base:"g4";
-      let gen = Delta_log.generation t in
+(* However many records a chain holds, it is one base, written once, and
+   one log: nothing is folded, retired or pointed at. *)
+let test_long_chain_is_one_base_one_log () =
+  with_log (fun cfg ->
+      let before = log_counters () in
+      let t = Delta_log.start cfg ~base:"B" in
+      let records = List.init 100 (Printf.sprintf "record-%d") in
+      List.iter (Delta_log.append t) records;
       Delta_log.close t;
-      check_int "four generations opened" 4 gen;
-      (* keep = 2: generations ≤ gen - 2 are gone, gen and gen-1 remain *)
-      check_bool "g1 base pruned" false
-        (Sys.file_exists (Delta_log.base_path cfg ~generation:1));
-      check_bool "g2 base pruned" false
-        (Sys.file_exists (Delta_log.base_path cfg ~generation:2));
-      check_bool "g3 base kept" true
-        (Sys.file_exists (Delta_log.base_path cfg ~generation:3));
-      check_bool "g4 base kept" true
-        (Sys.file_exists (Delta_log.base_path cfg ~generation:4));
+      check_counters "100 appends" before (1, 100);
+      Alcotest.(check (list string))
+        "one base and one log" [ "t.base"; "t.log" ]
+        (files_of cfg.Delta_log.dir);
       match Delta_log.load cfg with
       | Delta_log.Resumed c ->
-        Alcotest.(check string) "latest base" "g4" c.Delta_log.base;
-        Alcotest.(check (list string)) "chain empty" [] c.Delta_log.deltas
-      | _ -> Alcotest.fail "expected Resumed from the compacted generation")
+        Alcotest.(check string) "the start base" "B" c.Delta_log.base;
+        Alcotest.(check (list string)) "every record" records c.Delta_log.deltas
+      | _ -> Alcotest.fail "expected clean Resumed")
+
+(* Chains in two directories, each record log swapped onto the other's
+   base: the header names the base it extends, so the load refuses. *)
+let test_foreign_log_rejected () =
+  with_log (fun a ->
+      with_log (fun b ->
+          let t = Delta_log.start a ~base:"base of a" in
+          Delta_log.append t "a1";
+          Delta_log.close t;
+          let t = Delta_log.start b ~base:"base of b" in
+          Delta_log.append t "b1";
+          Delta_log.close t;
+          write_file (Delta_log.log_path a)
+            (read_file (Delta_log.log_path b));
+          match Delta_log.load a with
+          | Delta_log.Rejected [ e ] ->
+            Alcotest.(check string)
+              "the log is blamed" (Delta_log.log_path a) e.Delta_log.path
+          | Delta_log.Resumed _ | Delta_log.Resumed_partial _ ->
+            Alcotest.fail "a foreign log must never be replayed"
+          | _ -> Alcotest.fail "expected one Rejected diagnosis"))
 
 let test_kind_mismatch_rejected () =
   with_log (fun cfg ->
@@ -173,7 +190,7 @@ let test_kind_mismatch_rejected () =
 (* Frames of a 4-byte payload cost 1 (varint) + 4 (crc) + 4 = 9 bytes;
    the log header is its first line. *)
 let header_end cfg =
-  let s = read_file (Delta_log.log_path cfg ~generation:1) in
+  let s = read_file (Delta_log.log_path cfg) in
   String.index s '\n' + 1
 
 let chain_of_three cfg =
@@ -186,7 +203,7 @@ let chain_of_three cfg =
 let test_torn_tail_is_clean () =
   with_log (fun cfg ->
       chain_of_three cfg;
-      let path = Delta_log.log_path cfg ~generation:1 in
+      let path = Delta_log.log_path cfg in
       let s = read_file path in
       (* cut into the last frame: the kill -9 mid-append signature *)
       write_file path (String.sub s 0 (String.length s - 2));
@@ -212,7 +229,7 @@ let test_torn_tail_is_clean () =
 let test_midchain_corruption_is_partial () =
   with_log (fun cfg ->
       chain_of_three cfg;
-      let path = Delta_log.log_path cfg ~generation:1 in
+      let path = Delta_log.log_path cfg in
       (* flip a payload byte of the second record — bytes follow it, so
          this is real corruption, not a torn tail *)
       flip_byte path (header_end cfg + 9 + 5);
@@ -227,25 +244,18 @@ let test_midchain_corruption_is_partial () =
         Alcotest.fail "mid-chain corruption must not look clean"
       | _ -> Alcotest.fail "expected Resumed_partial")
 
-let test_corrupt_base_falls_back_or_rejects () =
+let test_corrupt_base_rejects () =
   with_log (fun cfg ->
-      (* two generations via compaction, then damage the newest base:
-         the load must fall back to the older retained generation *)
-      let t = Delta_log.start cfg ~base:"old" in
-      Delta_log.append t "a";
-      Delta_log.compact t ~base:"new";
-      Delta_log.close t;
-      let s = read_file (Delta_log.base_path cfg ~generation:2) in
-      write_file
-        (Delta_log.base_path cfg ~generation:2)
+      (* damage the base: no record may be replayed onto it *)
+      chain_of_three cfg;
+      let s = read_file (Delta_log.base_path cfg) in
+      write_file (Delta_log.base_path cfg)
         (String.sub s 0 (String.length s - 1));
       (match Delta_log.load cfg with
-      | Delta_log.Resumed_partial c ->
-        Alcotest.(check string) "older base" "old" c.Delta_log.base;
-        check_bool "fallback warned" true (c.Delta_log.warnings <> [])
-      | _ -> Alcotest.fail "expected fallback to generation 1");
-      (* and with the old generation gone too, the chain is Rejected *)
-      Sys.remove (Delta_log.base_path cfg ~generation:1);
+      | Delta_log.Rejected errors -> check_bool "diagnosed" true (errors <> [])
+      | _ -> Alcotest.fail "a base that does not verify must be Rejected");
+      (* and with the base gone, the log alone is Rejected too *)
+      Sys.remove (Delta_log.base_path cfg);
       match Delta_log.load cfg with
       | Delta_log.Rejected errors -> check_bool "diagnosed" true (errors <> [])
       | _ -> Alcotest.fail "no verifiable base must be Rejected")
@@ -255,26 +265,16 @@ let test_corrupt_base_falls_back_or_rejects () =
 let test_inspect_reports_status () =
   with_log (fun cfg ->
       chain_of_three cfg;
-      flip_byte
-        (Delta_log.log_path cfg ~generation:1)
-        (header_end cfg + 9 + 5);
-      let pointer, gens = Delta_log.inspect ~dir:cfg.Delta_log.dir ~name:"t" in
-      (match pointer with
-      | Some (kind, _, g) ->
-        Alcotest.(check string) "pointer kind" "test-payload" kind;
-        check_int "pointer generation" 1 g
-      | None -> Alcotest.fail "pointer must be readable");
-      (match gens with
-      | [ g ] ->
-        check_bool "current" true g.Delta_log.g_current;
-        check_bool "base ok" true (g.Delta_log.g_base_status = `Ok);
-        let statuses =
-          List.map (fun r -> r.Delta_log.r_status) g.Delta_log.g_records
-        in
-        check_bool "first record ok" true (List.nth statuses 0 = `Ok);
-        check_bool "second record corrupt" true
-          (match List.nth statuses 1 with `Corrupt _ -> true | _ -> false)
-      | _ -> Alcotest.fail "expected exactly one generation");
+      flip_byte (Delta_log.log_path cfg) (header_end cfg + 9 + 5);
+      let i = Delta_log.inspect ~dir:cfg.Delta_log.dir ~name:"t" in
+      (match i.Delta_log.base_status with
+      | `Ok (kind, _) -> Alcotest.(check string) "base kind" "test-payload" kind
+      | _ -> Alcotest.fail "base must verify");
+      check_bool "log header ok" true (i.Delta_log.log_status = `Ok);
+      let statuses = List.map (fun r -> r.Delta_log.r_status) i.Delta_log.records in
+      check_bool "first record ok" true (List.nth statuses 0 = `Ok);
+      check_bool "second record corrupt" true
+        (match List.nth statuses 1 with `Corrupt _ -> true | _ -> false);
       Alcotest.(check (list string))
         "scan finds the chain" [ "t" ]
         (Delta_log.scan ~dir:cfg.Delta_log.dir))
@@ -284,7 +284,8 @@ let test_inspect_reports_status () =
 let gen_payload = QCheck.Gen.(string_size ~gen:char (int_range 0 64))
 
 let prop_chain_roundtrip =
-  QCheck.Test.make ~name:"base ∘ appends ∘ compact ∘ load = id" ~count:40
+  QCheck.Test.make ~name:"base ∘ appends ∘ resume ∘ appends ∘ load = id"
+    ~count:40
     QCheck.(
       make
         Gen.(
@@ -300,13 +301,16 @@ let prop_chain_roundtrip =
         (fun () ->
           let t = Delta_log.start cfg ~base in
           List.iter (Delta_log.append t) before;
-          let compacted = base ^ String.concat "" before in
-          Delta_log.compact t ~base:compacted;
-          List.iter (Delta_log.append t) after;
           Delta_log.close t;
           match Delta_log.load cfg with
-          | Delta_log.Resumed c ->
-            c.Delta_log.base = compacted && c.Delta_log.deltas = after
+          | Delta_log.Resumed c -> (
+            let t = Delta_log.resume cfg c in
+            List.iter (Delta_log.append t) after;
+            Delta_log.close t;
+            match Delta_log.load cfg with
+            | Delta_log.Resumed c ->
+              c.Delta_log.base = base && c.Delta_log.deltas = before @ after
+            | _ -> false)
           | _ -> false))
 
 let prop_fuzz_never_crashes =
@@ -324,14 +328,9 @@ let prop_fuzz_never_crashes =
             [ "alpha"; "beta"; "gamma"; "delta" ];
           Delta_log.close t;
           let rng = Random.State.make [| seed |] in
-          let targets =
-            [ Delta_log.base_path cfg ~generation:1;
-              Delta_log.log_path cfg ~generation:1;
-              Delta_log.current_path cfg
-            ]
-          in
+          let targets = [ Delta_log.base_path cfg; Delta_log.log_path cfg ] in
           for _ = 1 to flips do
-            let path = List.nth targets (Random.State.int rng 3) in
+            let path = List.nth targets (Random.State.int rng 2) in
             let len = String.length (read_file path) in
             if len > 0 then flip_byte path (Random.State.int rng len)
           done;
@@ -514,11 +513,12 @@ let test_chase_fuel_truncation_syncs_chain () =
                r.Chase.instance)
         | _ -> Alcotest.fail "expected a loadable chain"))
 
-(* A chase of more rounds than a generation holds records (64): at
-   [every = 1] the chain compacts mid-run, and the replay of the compacted
-   chain is still the returned state, from which a resume reaches the cold
+(* A chase of more than 64 rounds at [every = 1]: the chain grows past
+   the 64 records after which it used to be folded into a fresh base, yet
+   it is still the one base written when it started plus one log; its
+   replay is the returned state, from which a resume reaches the cold
    result. *)
-let test_chase_long_run_compacts () =
+let test_chase_long_run_one_base () =
   let n = 70 in
   let sigma = tgds "E(x,y) -> T(x,y). T(x,y), E(y,z) -> T(x,z)." in
   let db =
@@ -533,13 +533,16 @@ let test_chase_long_run_compacts () =
   Fun.protect
     ~finally:(fun () -> Delta_log.remove log)
     (fun () ->
-      let compactions0 = (Stats.global ()).Stats.compactions in
+      let bases0 = (Stats.global ()).Stats.snapshots in
       let r1 =
         Chase.restricted_resumable ~budget:(Budget.make ~rounds:66 ()) ~every:1
           ~journal:(fresh_journal log) sigma db
       in
-      check_bool "compacted mid-run" true
-        ((Stats.global ()).Stats.compactions > compactions0);
+      check_int "one base for the whole run" 1
+        ((Stats.global ()).Stats.snapshots - bases0);
+      Alcotest.(check (list string))
+        "one base and one log" [ "long.base"; "long.log" ]
+        (files_of log.Delta_log.dir);
       let journal =
         match load_chase log with
         | Ok ({ Delta_log.resumed = Some r; _ } as j) ->
@@ -547,8 +550,8 @@ let test_chase_long_run_compacts () =
             (Instance.equal r.Delta_log.state.Chase.chk_instance
                r1.Chase.instance);
           check_int "replay rounds" 66 r.Delta_log.state.Chase.chk_rounds;
-          check_bool "past the first generation" true
-            (r.Delta_log.chain.Delta_log.generation > 1);
+          check_bool "more than 64 records" true
+            (List.length r.Delta_log.chain.Delta_log.deltas > 64);
           j
         | _ -> Alcotest.fail "truncated run must leave a chain"
       in
@@ -558,6 +561,47 @@ let test_chase_long_run_compacts () =
         && Instance.equal r2.Chase.instance cold.Chase.instance);
       check_bool "chain removed on termination" true
         (load_chase log = Ok (fresh_journal log)))
+
+(* A process killed after its chase's last round but before the chain is
+   removed leaves the chain of a finished saturation; resuming it must
+   reach the cold round count, not one more.  The kill is simulated with
+   hard links: they keep the chain's inodes, appends included, after the
+   terminated run unlinks its names. *)
+let test_chase_chain_past_last_round () =
+  let sigma, db = chase_fixture () in
+  let cold = Chase.restricted ~analyze:false sigma db in
+  let log = Chase.log_config ~dir:(fresh_dir ()) ~name:"chase" () in
+  let kept p = p ^ ".kept" in
+  let files = [ Delta_log.base_path log; Delta_log.log_path log ] in
+  let journal () =
+    match load_chase log with
+    | Ok ({ Delta_log.resumed = Some _; _ } as j) -> j
+    | _ -> Alcotest.fail "expected a loadable chain"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Delta_log.remove log;
+      List.iter (fun p -> try Sys.remove (kept p) with Sys_error _ -> ()) files)
+    (fun () ->
+      ignore
+        (Chase.restricted_resumable ~budget:(Budget.make ~rounds:1 ()) ~every:1
+           ~journal:(fresh_journal log) sigma db);
+      let j = journal () in
+      List.iter (fun p -> Unix.link p (kept p)) files;
+      let r = Chase.restricted_resumable ~every:1 ~journal:j sigma db in
+      check_bool "the resumed run terminated" true
+        (r.Chase.outcome = Chase.Terminated);
+      check_int "resumed rounds = cold rounds" cold.Chase.rounds r.Chase.rounds;
+      (* the chain as a kill just before its removal would have left it *)
+      List.iter (fun p -> Sys.rename (kept p) p) files;
+      let again = Chase.restricted_resumable ~every:1 ~journal:(journal ()) sigma db in
+      check_bool "same saturation" true
+        (again.Chase.outcome = Chase.Terminated
+        && Instance.equal again.Chase.instance r.Chase.instance);
+      check_int "rounds after resuming a finished chain" cold.Chase.rounds
+        again.Chase.rounds;
+      check_int "firings after resuming a finished chain" cold.Chase.fired
+        again.Chase.fired)
 
 let prop_chase_chain_matrix =
   QCheck.Test.make
@@ -655,6 +699,75 @@ let test_rewrite_incremental_resume_equals_cold () =
       check_bool "resumed outcome = cold outcome" true
         (r2.Rewrite.outcome = cold.Rewrite.outcome))
 
+(* A sweep that appends more than 64 records (the old compaction point)
+   writes its one base when the chain starts and nothing else but the log:
+   the bytes on disk are the base and the records' payloads and frames,
+   plus the two headers. *)
+let test_rewrite_long_sweep_one_base () =
+  let sigma =
+    tgds "G(x,y), P(y) -> H(x). H(x) -> P(x). G(x,y) -> G(y,x)."
+  in
+  let cfg = Rewrite.log_config ~dir:(fresh_dir ()) ~name:"sweep" () in
+  Fun.protect
+    ~finally:(fun () -> Delta_log.remove cfg)
+    (fun () ->
+      (* a fuel that trips after the screening of all 275 candidates, in
+         batches of 4: 69 batch records plus the truncation's own *)
+      let truncated fuel =
+        Delta_log.remove cfg;
+        let bases0, recs0 = log_counters () in
+        match
+          Rewrite.fg_to_g
+            ~config:
+              { Rewrite.default_config with
+                Rewrite.chunk = Some 1;
+                budget = Budget.make ~fuel ();
+                checkpoint = Some (fresh_journal cfg)
+              }
+            sigma
+        with
+        | Budget.Complete _ -> None
+        | Budget.Truncated _ ->
+          let bases, recs = log_counters () in
+          if recs - recs0 > 64 then Some (bases - bases0, recs - recs0)
+          else None
+      in
+      let bases, recs =
+        match List.find_map truncated [ 100; 200; 400; 800; 1_600 ] with
+        | Some counts -> counts
+        | None -> Alcotest.fail "no fuel truncates after 64 records"
+      in
+      check_int "one base" 1 bases;
+      Alcotest.(check (list string))
+        "one base and one log" [ "sweep.base"; "sweep.log" ]
+        (files_of cfg.Delta_log.dir);
+      let chain =
+        match Delta_log.load cfg with
+        | Delta_log.Resumed c -> c
+        | _ -> Alcotest.fail "expected a clean chain"
+      in
+      check_int "every record on disk" recs (List.length chain.Delta_log.deltas);
+      let framed payload =
+        let len = String.length payload in
+        let rec varint n = if n < 0x80 then 1 else 1 + varint (n lsr 7) in
+        varint len + 4 + len
+      in
+      let payloads =
+        String.length chain.Delta_log.base
+        + List.fold_left (fun acc d -> acc + framed d) 0 chain.Delta_log.deltas
+      in
+      let disk =
+        List.fold_left
+          (fun acc p -> acc + (Unix.stat p).Unix.st_size)
+          0
+          [ Delta_log.base_path cfg; Delta_log.log_path cfg ]
+      in
+      check_bool
+        (Printf.sprintf "%d bytes on disk for %d bytes of payload and frames"
+           disk payloads)
+        true
+        (disk >= payloads && disk <= payloads + 128))
+
 (* The disk path: the journal that resumed the chain goes in the config,
    supplies the resume point and appends to the same chain, which the
    completed sweep removes.  An in-memory [?resume] on top is refused. *)
@@ -719,13 +832,15 @@ let suite =
     case "wire: crc32 IEEE check value" test_crc32_vector;
     case "fresh, then chain round-trip" test_fresh_then_chain_roundtrip;
     case "appends extend a resumed chain" test_append_after_resume;
-    case "compaction prunes beyond keep" test_compaction_prunes_generations;
+    case "a long chain is one base and one log"
+      test_long_chain_is_one_base_one_log;
     case "kind mismatch is Rejected" test_kind_mismatch_rejected;
+    case "a log written against another base is Rejected"
+      test_foreign_log_rejected;
     case "torn tail: silent drop, clean resume" test_torn_tail_is_clean;
     case "mid-chain corruption: partial resume"
       test_midchain_corruption_is_partial;
-    case "corrupt base: fallback, then Rejected"
-      test_corrupt_base_falls_back_or_rejects;
+    case "corrupt or missing base is Rejected" test_corrupt_base_rejects;
     case "inspect reports per-record status" test_inspect_reports_status;
     QCheck_alcotest.to_alcotest prop_chain_roundtrip;
     QCheck_alcotest.to_alcotest prop_fuzz_never_crashes;
@@ -735,11 +850,15 @@ let suite =
       test_chase_truncate_resume_equals_cold;
     case "chase: fuel trip syncs the chain mid-round"
       test_chase_fuel_truncation_syncs_chain;
-    case "chase: a 65+-round run compacts, replays and resumes"
-      test_chase_long_run_compacts;
+    case "chase: a 65+-round chain keeps one base, replays and resumes"
+      test_chase_long_run_one_base;
+    case "chase: a chain kept past the last round resumes to the cold rounds"
+      test_chase_chain_past_last_round;
     QCheck_alcotest.to_alcotest prop_chase_chain_matrix;
     case "rewrite: incremental sink resumes to the cold outcome"
       test_rewrite_incremental_resume_equals_cold;
     case "rewrite: a resumed journal completes and removes its chain"
-      test_rewrite_resumed_journal_completes
+      test_rewrite_resumed_journal_completes;
+    case "rewrite: a 64+-record sweep is one base and its records on disk"
+      test_rewrite_long_sweep_one_base
   ]

@@ -174,6 +174,66 @@ let test_serve_table_shares () =
               (c.Memo.evicted > 0))
         (tables ()))
 
+(* A server answering a stream of never-seen ontologies keeps a bounded
+   heap: 5,000 distinct renamed 3-rule ontologies go through a dispatcher
+   as [entail] requests under a small cache ceiling, and the live
+   major-heap words after [Gc.compact], sampled every 250 requests, peak
+   no higher in the second half of the run than in the first, up to a
+   fixed allowance.  A per-ontology table that nothing evicts (each
+   ontology costs about 1.5 kB) grows by some 3.7 MB over the second
+   half. *)
+let test_entail_heap_plateaus () =
+  let n = 5_000 and every = 250 in
+  let allowance = 128 * 1024 (* words: 1 MiB on a 64-bit host *) in
+  Warm.configure ~cache_bytes:(Some (256 * 1024));
+  Fun.protect
+    ~finally:(fun () -> Warm.configure ~cache_bytes:None)
+    (fun () ->
+      let d =
+        Dispatcher.create
+          { Dispatcher.default_config with Dispatcher.workers = 1 }
+      in
+      let samples =
+        Fun.protect
+          ~finally:(fun () -> Dispatcher.shutdown d)
+          (fun () ->
+            List.init (n / every) (fun chunk ->
+                for j = 0 to every - 1 do
+                  let i = (chunk * every) + j in
+                  let tgds =
+                    Printf.sprintf
+                      "E%d(x,y) -> S%d(y). S%d(x) -> exists z. T%d(x,z). \
+                       T%d(x,y) -> S%d(y)."
+                      i i i i i i
+                  in
+                  let resp =
+                    Dispatcher.handle d
+                      (Json.Obj
+                         [ ("id", Json.Int i);
+                           ("op", Json.String "entail");
+                           ("tgds", Json.String tgds);
+                           ( "goal",
+                             Json.String (Printf.sprintf "E%d(x,y) -> S%d(y)." i i) )
+                         ])
+                  in
+                  if not (get_ok resp) then
+                    Alcotest.failf "request failed: %s" (Json.to_string resp)
+                done;
+                Gc.compact ();
+                (Gc.stat ()).Gc.live_words))
+      in
+      let half = List.length samples / 2 in
+      let peak l = List.fold_left max 0 l in
+      let first = peak (List.filteri (fun i _ -> i < half) samples)
+      and second = peak (List.filteri (fun i _ -> i >= half) samples) in
+      check_bool
+        (Printf.sprintf
+           "live words peak %d in the second half, %d in the first (samples %s)"
+           second first
+           (String.concat " " (List.map string_of_int samples)))
+        true
+        (second <= first + allowance))
+
 let test_memo_byte_ceiling () =
   let m : string Memo.t = Memo.create ~name:"test-lru" () in
   Memo.set_limit m ~bytes:(Some 16_384);
@@ -724,6 +784,8 @@ let test_hit_counters_monotone () =
 
 let suite =
   [ case "memo byte ceiling evicts LRU" test_memo_byte_ceiling;
+    case "entail: the live heap plateaus over 5,000 distinct ontologies"
+      test_entail_heap_plateaus;
     case "serve-scope tables share the cache ceiling"
       test_serve_tables_bounded;
     case "each serve table keeps to its own share" test_serve_table_shares;

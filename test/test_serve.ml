@@ -351,7 +351,7 @@ let test_checkpoint_unverifiable_chain_dropped () =
   let cold = handle (path_chase_request ()) in
   with_ckpt_dir (fun dir ->
       fault_leaving_chain dir;
-      (* damage every base: no generation verifies *)
+      (* damage the base: it no longer verifies *)
       Array.iter
         (fun f ->
           if Filename.check_suffix f ".base" then begin
